@@ -210,10 +210,10 @@ def mod_inverse(a: int, q: int) -> int:
     """Inverse of a modulo q, in [0, q).  Requires gcd(a, q) = 1."""
     if q < 1:
         raise ValueError(f"modulus must be positive, got {q}")
-    x, _, g = bezout(a % q if q > 1 else 0, q)
-    if g != 1:
-        raise ValueError(f"{a} is not invertible modulo {q} (gcd {g})")
-    return x % q
+    try:
+        return pow(a, -1, q)
+    except ValueError:
+        raise ValueError(f"{a} is not invertible modulo {q} (gcd {math.gcd(a, q)})") from None
 
 
 def crt(congruences) -> tuple[int, int]:

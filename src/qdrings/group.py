@@ -6,7 +6,9 @@ one coordinate per prime; an element is stored as a rational coefficient of
 the basis plus finitely many torsion-coordinate overrides at primes whose
 cocharacteristic value is finite and positive.  For the zero type the group
 is Q (+) Z_m and the same storage is used with every torsion coordinate kept
-explicit, so one arithmetic core serves both kinds.
+explicit, so one arithmetic core serves both kinds.  The slot modulus
+p**cochar(p) of each torsion coordinate is memoised per group and computed on
+first use.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .foundations import (
     factorization,
     is_prime,
     is_zero_type,
-    mod_inverse,
     vp,
 )
 
@@ -60,10 +61,12 @@ __all__ = [
 class Qd1Group:
     """A rank-1 quotient divisible group, identified by its cocharacteristic."""
 
-    __slots__ = ("_cochar", "_modulus", "_torsion_keys")
+    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots")
 
     def __init__(self, cochar: Characteristic):
         self._cochar = cochar
+        # filled lazily: a finite positive default gives a slot at every prime
+        self._slots: dict[int, int] = {}
         if is_zero_type(cochar):
             keys = tuple(p for p, v in cochar.exception_items() if isinstance(v, int) and v > 0)
             self._torsion_keys = keys
@@ -85,7 +88,16 @@ class Qd1Group:
         """The torsion modulus m of a nonreduced group Q (+) Z_m; None when reduced."""
         return self._modulus
 
+    def _slot(self, p: int) -> int:
+        """The modulus p**cochar(p) of the torsion coordinate at p (finite positive value)."""
+        q = self._slots.get(p)
+        if q is None:
+            q = self._slots[p] = p ** self._cochar.value(p)
+        return q
+
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, Qd1Group):
             return NotImplemented
         return self._cochar == other._cochar
@@ -119,7 +131,7 @@ class Qd1Group:
                 raise ValueError(f"prime {p} has cocharacteristic {k}; no finite torsion coordinate there")
             if isinstance(a, bool) or not isinstance(a, int):
                 raise ValueError(f"override at {p} must be an integer, got {a!r}")
-            ov[p] = a % p**k
+            ov[p] = a % self._slot(p)
         return _build(self, Fraction(rational), ov)
 
     def elem_qb(self, q, b: int = 0) -> "GroupElement":
@@ -127,7 +139,7 @@ class Qd1Group:
         if self.is_reduced:
             raise UnsupportedCaseError("elem_qb applies to nonreduced groups only")
         b %= self._modulus if self._modulus else 1
-        ov = {p: b % p ** self._cochar.value(p) for p in self._torsion_keys}
+        ov = {p: b % self._slot(p) for p in self._torsion_keys}
         return _build(self, Fraction(q), ov)
 
     def zero(self) -> "GroupElement":
@@ -219,37 +231,40 @@ class GroupElement:
         """The (rational, torsion residue) view of a nonreduced element."""
         if self._group.is_reduced:
             raise UnsupportedCaseError("as_pair applies to nonreduced groups only")
-        residue, _ = crt(
-            (a, p ** self._group.cochar.value(p)) for p, a in self._overrides.items()
-        )
+        residue, _ = crt((a, self._group._slot(p)) for p, a in self._overrides.items())
         return self._rational, residue
 
 
-def _rational_residue(r: Fraction, p: int, q: int) -> int:
+def _rational_residue(r: Fraction, q: int) -> int:
     # residue of r modulo q = p**k; requires p not dividing the denominator
-    return r.numerator * mod_inverse(r.denominator % q, q) % q
+    return r.numerator * pow(r.denominator, -1, q) % q
+
+
+def _residue(g: GroupElement, p: int, q: int) -> int:
+    # coordinate_residue without validation, for a prime whose slot q is known
+    a = g._overrides.get(p)
+    return _rational_residue(g._rational, q) if a is None else a
 
 
 def _build(group: Qd1Group, rational: Fraction, overrides: dict[int, int]) -> GroupElement:
     """Normalize and validate; the single constructor behind all arithmetic."""
-    chi = group.cochar
     den = rational.denominator
     if group.is_reduced:
         ov = {}
         for p, a in overrides.items():
-            q = p ** chi.value(p)
+            q = group._slot(p)
             a %= q
-            if den % p != 0 and a == _rational_residue(rational, p, q):
+            if den % p != 0 and a == _rational_residue(rational, q):
                 continue  # redundant override
             ov[p] = a
     else:
         ov = {}
         for p in group._torsion_keys:
-            q = p ** chi.value(p)
+            q = group._slot(p)
             if p in overrides:
                 ov[p] = overrides[p] % q
             elif den % p != 0:
-                ov[p] = _rational_residue(rational, p, q)
+                ov[p] = _rational_residue(rational, q)
             else:
                 raise InvalidDenominatorError(
                     f"denominator prime {p} divides the torsion modulus; give the coordinate explicitly"
@@ -279,9 +294,9 @@ def _check_denominator(group: Qd1Group, den: int, overrides: dict[int, int]) -> 
 
 
 def _same_group(g: GroupElement, h: GroupElement) -> Qd1Group:
-    if g.group != h.group:
+    if g._group != h._group:
         raise GroupMismatchError("elements belong to different groups")
-    return g.group
+    return g._group
 
 
 def coordinate_residue(g: GroupElement, p: int) -> int:
@@ -289,9 +304,7 @@ def coordinate_residue(g: GroupElement, p: int) -> int:
     k = g.group.cochar.value(p)
     if not isinstance(k, int) or k == 0:
         raise ValueError(f"prime {p} carries no finite torsion coordinate (cocharacteristic {k})")
-    if p in g._overrides:
-        return g._overrides[p]
-    return _rational_residue(g.rational, p, p**k)
+    return _residue(g, p, g.group._slot(p))
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +317,11 @@ def elem(G: Qd1Group, rational, overrides: Mapping[int, int] | None = None) -> G
 
 def add(g: GroupElement, h: GroupElement) -> GroupElement:
     G = _same_group(g, h)
-    chi = G.cochar
     ov = {}
     for p in g._overrides.keys() | h._overrides.keys():
-        q = p ** chi.value(p)
-        ov[p] = (coordinate_residue(g, p) + coordinate_residue(h, p)) % q
-    return _build(G, g.rational + h.rational, ov)
+        q = G._slot(p)
+        ov[p] = (_residue(g, p, q) + _residue(h, p, q)) % q
+    return _build(G, g._rational + h._rational, ov)
 
 
 def neg(g: GroupElement) -> GroupElement:
@@ -319,10 +331,9 @@ def neg(g: GroupElement) -> GroupElement:
 def zmul(n: int, g: GroupElement) -> GroupElement:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"integer multiple expected, got {n!r}")
-    G = g.group
-    chi = G.cochar
-    ov = {p: n * a % p ** chi.value(p) for p, a in g._overrides.items()}
-    return _build(G, n * g.rational, ov)
+    G = g._group
+    ov = {p: n * a % G._slot(p) for p, a in g._overrides.items()}
+    return _build(G, n * g._rational, ov)
 
 
 # ---------------------------------------------------------------------------

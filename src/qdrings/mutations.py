@@ -46,11 +46,6 @@ def product_dropping_m(mult: Multiplication, g1: GroupElement, g2: GroupElement)
     return _build(G, g1.rational * g2.rational, ov)
 
 
-def make_mult_dropping_m(G, m) -> Multiplication:
-    """Companion factory for the dropped-factor product; the object itself is untouched."""
-    return Multiplication(G, m)
-
-
 def certifier_skipping_verification(mult: Multiplication, g: GroupElement, b: GroupElement):
     """Witness path with the final recomputation removed and the slip it guarded against."""
     witness = certify_member(mult, g, b)

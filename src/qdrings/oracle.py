@@ -26,7 +26,13 @@ from .group import (
     zmul,
 )
 from .ring import Multiplication, certify_member, element_of_mult, make_mult, multiply
-from .subgroup import DescriptorKind, SubgroupDescriptor, contains, descriptor_str
+from .subgroup import (
+    DescriptorKind,
+    SubgroupDescriptor,
+    _normalize_torsion_eta,
+    contains,
+    descriptor_str,
+)
 
 __all__ = [
     "CheckReport",
@@ -43,6 +49,7 @@ __all__ = [
 ]
 
 _MAX_ORACLE_BOUND = 12
+_NONZERO_NUMERATORS = tuple(n for n in range(-40, 41) if n)
 
 
 @dataclass(frozen=True)
@@ -54,12 +61,15 @@ class TrialConfig:
     max_prime: int = 13
     max_exp: int = 4
     samples_per_instance: int = 20
+    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.trials < 1 or self.max_exp < 1 or self.samples_per_instance < 1:
             raise ValueError("trials, max_exp and samples_per_instance must be positive")
         if self.max_prime < 5:
             raise ValueError("max_prime must be at least 5 so divisible and finite primes coexist")
+        # sieved once per sweep; every generator draws from these primes
+        object.__setattr__(self, "primes", tuple(primes_up_to(self.max_prime)))
 
     def rng(self, *path) -> random.Random:
         """An independent stream derived from the seed and a stable label path."""
@@ -174,7 +184,7 @@ def random_characteristic(rng: random.Random, cfg: TrialConfig, *, force_default
     else:
         default = force_default
     exceptions = {}
-    for p in primes_up_to(cfg.max_prime):
+    for p in cfg.primes:
         if rng.random() < 0.5:
             exceptions[p] = rng.choice([0, rng.randint(1, cfg.max_exp), INF])
     return Characteristic(default, exceptions)
@@ -203,7 +213,7 @@ def random_group(
 def _torsion_slots(G: Qd1Group, cfg: TrialConfig) -> list[int]:
     chi = G.cochar
     out = []
-    for p in sorted(set(primes_up_to(cfg.max_prime)) | set(chi.exception_primes)):
+    for p in sorted(set(cfg.primes) | set(chi.exception_primes)):
         v = chi.value(p)
         if isinstance(v, int) and v > 0:
             out.append(p)
@@ -223,11 +233,11 @@ def random_element(
                 den *= p
     if torsion:
         return G.elem(0, ov)
-    for p in primes_up_to(cfg.max_prime):
+    for p in cfg.primes:
         if chi.value(p) == 0 and rng.random() < 0.25:
             den *= p
-    num = rng.choice([n for n in range(-40, 41) if n])
-    for p in primes_up_to(cfg.max_prime):
+    num = rng.choice(_NONZERO_NUMERATORS)
+    for p in cfg.primes:
         if isinstance(chi.value(p), _Infinity) and rng.random() < 0.3:
             num *= p ** rng.randint(1, cfg.max_exp)
     return G.elem(Fraction(num, den), ov)
@@ -264,9 +274,7 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
 def _torsion_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
     chi = G.cochar
     ov = {}
-    for p in sorted(
-        set(primes_up_to(cfg.max_prime)) | set(chi.exception_primes) | set(eta.exception_primes)
-    ):
+    for p in sorted(set(cfg.primes) | set(chi.exception_primes) | set(eta.exception_primes)):
         k, v = chi.value(p), eta.value(p)
         if not isinstance(k, int) or k == 0 or not isinstance(v, int) or v >= k:
             continue  # empty slot under the floor
@@ -279,12 +287,10 @@ def _full_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
     chi = G.cochar
     if rng.random() < 0.2:
         # torsion members satisfy any floor they meet on the torsion slots
-        return _torsion_member(G, _restrict_to_torsion(G, eta), rng, cfg)
+        return _torsion_member(G, _normalize_torsion_eta(G, eta), rng, cfg)
     rho = Fraction(rng.choice([n for n in range(1, 30)]) * rng.choice([1, -1]))
     forced: dict[int, int] = {}
-    relevant = sorted(
-        set(primes_up_to(cfg.max_prime)) | set(chi.exception_primes) | set(eta.exception_primes)
-    )
+    relevant = sorted(set(cfg.primes) | set(chi.exception_primes) | set(eta.exception_primes))
     for p in relevant:
         k, v = chi.value(p), eta.value(p)
         if isinstance(k, _Infinity):
@@ -298,19 +304,13 @@ def _full_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
             elif rng.random() < 0.3:
                 forced[p] = rng.randrange(p**k)
     den = 1
-    for p in primes_up_to(cfg.max_prime):
+    for p in cfg.primes:
         k = chi.value(p)
         if k == 0 and rng.random() < 0.25:
             den *= p
         elif p in forced and rng.random() < 0.25:
             den *= p
     return G.elem(rho / den, forced)
-
-
-def _restrict_to_torsion(G: Qd1Group, eta: Characteristic) -> Characteristic:
-    from .subgroup import _normalize_torsion_eta
-
-    return _normalize_torsion_eta(G, eta)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .group import (
     Qd1Group,
     _build,
     _finite_positive_chi_divisors,
+    _residue,
     add,
     c_of,
     char_of,
@@ -149,18 +150,15 @@ def is_nai(mult: Multiplication) -> bool:
 
 def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupElement:
     """The ring product: coordinatewise, weighted by the square of the basis element."""
-    G = mult.group
-    if g1.group != G or g2.group != G:
+    G = mult._group
+    if g1._group != G or g2._group != G:
         raise GroupMismatchError("factors belong to a different group")
-    m = mult.m_elt
-    chi = G.cochar
+    m = mult._m
     ov = {}
-    for p in g1.overrides.keys() | g2.overrides.keys() | m.overrides.keys():
-        q = p ** chi.value(p)
-        ov[p] = (
-            coordinate_residue(g1, p) * coordinate_residue(g2, p) * coordinate_residue(m, p) % q
-        )
-    return _build(G, g1.rational * g2.rational * m.rational, ov)
+    for p in g1._overrides.keys() | g2._overrides.keys() | m._overrides.keys():
+        q = G._slot(p)
+        ov[p] = _residue(g1, p, q) * _residue(g2, p, q) * _residue(m, p, q) % q
+    return _build(G, g1._rational * g2._rational * m._rational, ov)
 
 
 def is_ai_ring(mult: Multiplication) -> bool:

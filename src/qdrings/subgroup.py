@@ -181,7 +181,6 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
     """Reduce g modulo the torsion part and normalize the sign of the rational."""
     if g.rational < 0:
         g = neg(g)
-    chi = g.group.cochar
     ov = g.overrides
     for p in list(ov):
         v = eta.value(p)
@@ -192,7 +191,7 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
         if (
             g.group.is_reduced
             and g.rational.denominator % p != 0
-            and _rational_residue(g.rational, p, p ** chi.value(p)) % p**v == reduced
+            and _rational_residue(g.rational, g.group._slot(p)) % p**v == reduced
         ):
             del ov[p]
         else:

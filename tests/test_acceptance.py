@@ -14,7 +14,6 @@ from qdrings.group import build_group, height, zmul
 from qdrings.mutations import (
     certifier_skipping_verification,
     lowered_eta,
-    make_mult_dropping_m,
     product_dropping_m,
 )
 from qdrings.oracle import (
@@ -127,9 +126,7 @@ def test_criterion_10_mutation_sensitivity():
 
     detections = {
         "lowered-eta": not ideal_two_way_check(unital, g, lowered_eta(sound, p=2), cfg).passed,
-        "dropped-m-factor": not ring_axiom_check(
-            unital, cfg, product=product_dropping_m, make=make_mult_dropping_m
-        ).passed,
+        "dropped-m-factor": not ring_axiom_check(unital, cfg, product=product_dropping_m).passed,
         "skipped-witness-verification": not ideal_two_way_check(
             unital, g, sound, cfg, certifier=certifier_skipping_verification
         ).passed,

@@ -104,6 +104,16 @@ def test_mod_inverse_examples():
         mod_inverse(6, 9)
 
 
+@given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
+def test_mod_inverse_agrees_with_bezout(a, q):
+    x, _, g = bezout(a % q, q)
+    if g == 1:
+        assert mod_inverse(a, q) == x % q
+    else:
+        with pytest.raises(ValueError, match=rf"not invertible modulo {q} \(gcd {g}\)"):
+            mod_inverse(a, q)
+
+
 def test_crt():
     r, m = crt([(1, 4), (2, 27)])
     assert m == 108 and r % 4 == 1 and r % 27 == 2

@@ -30,6 +30,7 @@ from qdrings.group import (
     zmul,
 )
 from qdrings.oracle import TrialConfig, height_oracle, heights_agree, random_element, random_group
+from qdrings.ring import make_mult, multiply
 
 CHI_A = Characteristic(0, {2: 2, 3: INF})
 CHI_B = Characteristic(0, {2: 1})
@@ -62,6 +63,12 @@ def test_group_identity_is_by_cocharacteristic():
     assert build_group(CHI_A) == GA
     assert GA != GB
     assert len({GA, build_group(CHI_A), GB}) == 2
+    # elements of separately built groups with one cocharacteristic mix freely
+    twin = build_group(CHI_A)
+    x, y = GA.elem(Fraction(1, 2), {2: 3}), twin.elem(3, {2: 1})
+    assert twin.elem(Fraction(1, 2), {2: 3}) == x
+    assert add(x, y) == add(y, x) == GA.elem(Fraction(7, 2), {2: 0})
+    assert multiply(make_mult(GA, twin.elem(1)), x, y) == twin.elem(Fraction(3, 2), {2: 3})
 
 
 # -- element constructor -----------------------------------------------------
@@ -116,8 +123,31 @@ def test_add_neg_zmul_examples():
     half = GA.elem(Fraction(1, 2), {2: 0})
     assert add(half, half) == GA.elem(1, {2: 0})
     assert e - e2 == add(e, neg(e2))
-    with pytest.raises(GroupMismatchError):
-        add(e, GB.elem_qb(1, 0))
+    twin_shape = build_group(Characteristic(0, {2: 2, 3: INF, 5: 1}))
+    for other in (GB.elem_qb(1, 0), twin_shape.elem(1)):
+        with pytest.raises(GroupMismatchError):
+            add(e, other)
+        with pytest.raises(GroupMismatchError):
+            e - other
+        with pytest.raises(GroupMismatchError):
+            multiply(make_mult(GA, e), e, other)
+
+
+def test_add_and_multiply_at_a_prime_outside_the_exception_list():
+    G = build_group(Characteristic.parse("default=2;3:1"))
+    assert not G._slots  # slot moduli are computed on first use, never at construction
+    x = G.elem(Fraction(1, 17), {17: 5})
+    y = G.elem(2, {17: 100})
+    half = G.elem(Fraction(1, 2), {2: 1})  # its 17-coordinate is 1/2 = 145 mod 289
+    mult = make_mult(G, G.elem(3, {17: 7}))
+    # slots: 17**2 = 289 at 17, 2**2 = 4 at 2; 1/17 is 1 mod 4
+    assert add(x, y) == G.elem(Fraction(35, 17), {17: 105})
+    assert add(x, G.elem(4)) == G.elem(Fraction(69, 17), {17: 9})
+    total = add(x, half)
+    assert (total.rational, total.overrides) == (Fraction(19, 34), {17: 150, 2: 2})
+    assert multiply(mult, x, y) == G.elem(Fraction(6, 17), {17: 3500 % 289})
+    assert multiply(mult, x, G.elem(4)) == G.elem(Fraction(12, 17), {17: 140})
+    assert multiply(mult, x, half) == G.elem(Fraction(3, 34), {17: 5 * 145 * 7 % 289, 2: 3})
 
 
 def test_closure_of_arithmetic_under_revalidation():

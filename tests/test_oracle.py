@@ -10,7 +10,6 @@ from qdrings.group import build_group, char_of, height, zmul
 from qdrings.mutations import (
     certifier_skipping_verification,
     lowered_eta,
-    make_mult_dropping_m,
     product_dropping_m,
 )
 from qdrings.oracle import (
@@ -198,13 +197,9 @@ def test_lowered_floor_is_detected_by_the_backward_direction():
 
 
 def test_dropped_defining_element_is_detected_by_the_axiom_check():
-    report = ring_axiom_check(
-        make_mult(GA, E2), CFG, product=product_dropping_m, make=make_mult_dropping_m
-    )
+    report = ring_axiom_check(make_mult(GA, E2), CFG, product=product_dropping_m)
     assert not report.passed
-    report_unital = ring_axiom_check(
-        make_mult(GA, E), CFG, product=product_dropping_m, make=make_mult_dropping_m
-    )
+    report_unital = ring_axiom_check(make_mult(GA, E), CFG, product=product_dropping_m)
     assert not report_unital.passed  # additivity in the defining element fails
 
 
