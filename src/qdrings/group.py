@@ -25,6 +25,7 @@ from .errors import (
 )
 from .foundations import (
     INF,
+    _SMALL_PRIMES,
     Characteristic,
     ExtNat,
     _Infinity,
@@ -287,9 +288,11 @@ def _check_denominator(group: Qd1Group, den: int, overrides: dict[int, int]) -> 
                 )
             rest //= p
     if rest > 1 and chi.default != 0:
-        p = min(factorization(rest))
+        # name a prime only when trial division finds one; factoring rest may not finish
+        p = next((p for p in _SMALL_PRIMES if rest % p == 0), None)
+        part = f"prime {p}" if p else f"part {rest}"
         raise InvalidDenominatorError(
-            f"denominator prime {p} has cocharacteristic {chi.default} and no override"
+            f"denominator {part} has cocharacteristic {chi.default} and no override"
         )
 
 

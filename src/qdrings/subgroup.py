@@ -5,7 +5,8 @@ height-floor subgroup of all elements whose characteristic dominates a given
 one, its torsion analogue (one cyclic slot per prime, shifted by the floor),
 and a torsion part plus a single cyclic summand.  Descriptors are normalized
 at construction, which makes equality a finite structural comparison in
-every case.
+every case.  In particular a ``SUM`` generator is non-torsion: a torsion
+summand is folded into the torsion part when the sum is built.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .group import (
     is_integers,
     is_torsion,
     neg,
-    order,
     zmul,
 )
 
@@ -172,8 +172,8 @@ def plus_cyclic(d: SubgroupDescriptor, g: GroupElement) -> SubgroupDescriptor:
         raise UnsupportedCaseError("plus_cyclic extends a torsion descriptor")
     if d.group != g.group:
         raise GroupMismatchError("generator belongs to a different group")
-    if contains(d, g):
-        return d
+    if is_torsion(g):  # Z*g is the torsion at g's heights, so the floors meet
+        return torsion_inv(d.group, meet(d.eta, char_of(g)))
     return SubgroupDescriptor(d.group, DescriptorKind.SUM, d.eta, _canonical_generator(d.eta, g))
 
 
@@ -217,16 +217,8 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
         return is_torsion(x) and char_geq(char_of(x), d.eta)
     g = d.generator
     torsion_part = SubgroupDescriptor(d.group, DescriptorKind.TORSION, d.eta)
-    if is_torsion(x):
-        if contains(torsion_part, x):
-            return True
-        if is_torsion(g):
-            return any(
-                contains(torsion_part, add(x, zmul(-k, g))) for k in range(1, order(g))
-            )
-        return False
-    if is_torsion(g):
-        return False
+    if is_torsion(x):  # g is non-torsion, so only its zero multiple is torsion
+        return contains(torsion_part, x)
     ratio = x.rational / g.rational
     if ratio.denominator != 1:
         return False
@@ -239,20 +231,13 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
 # Every variant pair is decidable:
 #   * same-variant descriptors compare by normalized data (injectivity comes
 #     from explicit separating elements);
-#   * a non-collapsed height-floor descriptor always has a nontorsion member,
-#     so it never equals a torsion descriptor;
-#   * a sum whose generator is torsion collapses, one cyclic slot at a time,
-#     to a torsion descriptor with the pointwise-minimum floor;
+#   * a non-collapsed height-floor descriptor, and a sum (plus_cyclic folds a
+#     torsion generator into the floor, so a sum generator is non-torsion),
+#     each have a nontorsion member, so neither equals a torsion descriptor;
 #   * rational coefficients of sum members form one cyclic subgroup of Q,
 #     while a height-floor subgroup has unbounded denominators at any prime
 #     of finite cocharacteristic value, so the two can only coincide in the
 #     integers-like group, where both are explicit multiples of the basis.
-
-
-def _eq_form(d: SubgroupDescriptor) -> SubgroupDescriptor:
-    if d.kind is DescriptorKind.SUM and is_torsion(d.generator):
-        return torsion_inv(d.group, meet(d.eta, char_of(d.generator)))
-    return d
 
 
 def _eta_index(eta: Characteristic) -> int:
@@ -264,17 +249,13 @@ def equals(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
     """Exact set equality of two descriptors over the same group."""
     if d1.group != d2.group:
         raise GroupMismatchError("descriptors belong to different groups")
-    a, b = _eq_form(d1), _eq_form(d2)
-    if a.kind is b.kind:
-        if a.kind is DescriptorKind.SUM:
-            return a.eta == b.eta and a.generator == b.generator
-        return a.eta == b.eta
-    kinds = {a.kind, b.kind}
-    if kinds == {DescriptorKind.FULL, DescriptorKind.TORSION}:
+    if d1.kind is d2.kind:
+        if d1.kind is DescriptorKind.SUM:
+            return d1.eta == d2.eta and d1.generator == d2.generator
+        return d1.eta == d2.eta
+    if DescriptorKind.TORSION in (d1.kind, d2.kind):
         return False
-    if kinds == {DescriptorKind.SUM, DescriptorKind.TORSION}:
-        return False
-    summ, full = (a, b) if a.kind is DescriptorKind.SUM else (b, a)
+    summ, full = (d1, d2) if d1.kind is DescriptorKind.SUM else (d2, d1)
     if not is_integers(summ.group):
         return False
     return abs(summ.generator.rational) == _eta_index(full.eta)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from qdrings.cli import run
 from qdrings.errors import (
     GroupMismatchError,
     InvalidDenominatorError,
@@ -87,6 +88,19 @@ def test_elem_basis_and_validation():
         GA.elem(0, {3: 1})
     with pytest.raises(ValueError):
         GA.elem(0, {4: 1})
+
+
+def test_invalid_denominator_with_two_large_primes_is_rejected_without_factoring(deadline, capsys):
+    p, q = 10**21 + 117, 3 * 10**21 + 53  # 22-digit primes; Brent's method needs ~1e10 steps
+    G = build_group(Characteristic(1))
+    with deadline(1.0):
+        with pytest.raises(InvalidDenominatorError, match=f"denominator part {p * q} "):
+            G.elem(Fraction(1, p * q))
+        with pytest.raises(InvalidDenominatorError, match="denominator prime 5 "):
+            G.elem(Fraction(1, 5 * p * q))  # a small prime is still named
+        code = run(["elem", "info", "--cochar", "default=1", "--elem", f"r=1/{p * q}"])
+    assert code == 2
+    assert "a valid denominator" in capsys.readouterr().err
 
 
 def test_elem_half_basis_off_two():

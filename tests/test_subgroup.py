@@ -111,16 +111,26 @@ def test_cyclic_line_excludes_fractions_of_the_generator():
     assert not contains(line, GA.elem(Fraction(1, 2), {2: 0}))
 
 
-def test_plus_cyclic_with_torsion_generator_uses_bounded_search():
+def test_plus_cyclic_with_torsion_generator_collapses_to_the_meet(deadline):
     # generator of order 4 outside the torsion floor at height 1
     floor = torsion_inv(GA, Characteristic(INF, {2: 1}))
     d = plus_cyclic(floor, E2)
-    assert d.kind is DescriptorKind.SUM
+    assert d.kind is DescriptorKind.TORSION
     for g in torsion_elements_of_GA():
         assert contains(d, g)  # T(floor) + Z*e2 is all of the torsion part
     assert not contains(d, E)
     # and it equals the full torsion descriptor by the cyclic-slot collapse
     assert equals(d, torsion_inv(GA, char_of(E2)))
+    # generators of order 2**10 * 3**6 and 2**39; x has an odd 2-coordinate, so no multiple hits it
+    for cochar, text in [
+        ("default=inf;2:11,3:6", "T(eta=default=inf)+Z*r=0;2:2,3:1"),
+        ("default=inf;2:40", "T(eta=default=inf)+Z*r=0;2:2"),
+    ]:
+        G = build_group(Characteristic.parse(cochar))
+        with deadline(1.0):
+            big = parse_descriptor(text, G)
+            assert not contains(big, G.parse_elem("r=0;2:1"))
+            assert contains(big, G.parse_elem("r=0;2:6"))  # 2-height 1, as the generator's
 
 
 # -- membership vs the direct definition --------------------------------------
@@ -245,3 +255,5 @@ def test_descriptor_parse_print_round_trip():
     for text in texts:
         d = parse_descriptor(text, GA)
         assert str(d) == text
+    # a torsion generator is read into the floor
+    assert str(parse_descriptor("T(eta=default=inf;2:1)+Z*r=0;2:1", GA)) == "T(eta=default=inf;2:0)"
