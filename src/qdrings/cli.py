@@ -21,7 +21,7 @@ from .errors import (
 )
 from .foundations import Characteristic
 from .group import GroupElement, Qd1Group, build_group, c_of, char_of, is_torsion, order
-from .oracle import TrialConfig
+from .oracle import MAX_PRIME_BOUND, TrialConfig
 from .ring import (
     is_ai_ring,
     is_fi_ring,
@@ -98,7 +98,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--suite", required=True, choices=sorted(SUITE_NAMES))
     verify.add_argument("--seed", required=True, type=int, help="explicit seed for reproducibility")
     verify.add_argument("--trials", type=int, default=100)
-    verify.add_argument("--max-prime", type=int, default=13)
+    verify.add_argument(
+        "--max-prime", type=int, default=13, help=f"largest prime drawn, at most {MAX_PRIME_BOUND}"
+    )
     verify.add_argument("--max-exp", type=int, default=4)
     verify.add_argument("--samples", type=int, default=20, help="samples per instance")
     verify.add_argument(

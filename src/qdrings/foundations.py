@@ -113,7 +113,7 @@ def _sympy_or_none():
     return sympy
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)  # bounded: every prime ever asked about would otherwise stay cached
 def is_prime(n: int) -> bool:
     """Deterministic primality test."""
     if not isinstance(n, int) or isinstance(n, bool):

@@ -36,6 +36,7 @@ from .subgroup import (
 
 __all__ = [
     "CheckReport",
+    "MAX_PRIME_BOUND",
     "TrialConfig",
     "exact_divide",
     "height_oracle",
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 _MAX_ORACLE_BOUND = 12
+# largest accepted TrialConfig.max_prime; the sieve allocates one byte per integer
+MAX_PRIME_BOUND = 1000
 _NONZERO_NUMERATORS = tuple(n for n in range(-40, 41) if n)
 
 
@@ -68,6 +71,8 @@ class TrialConfig:
             raise ValueError("trials, max_exp and samples_per_instance must be positive")
         if self.max_prime < 5:
             raise ValueError("max_prime must be at least 5 so divisible and finite primes coexist")
+        if self.max_prime > MAX_PRIME_BOUND:
+            raise ValueError(f"max_prime must be at most {MAX_PRIME_BOUND}")
         # sieved once per sweep; every generator draws from these primes
         object.__setattr__(self, "primes", tuple(primes_up_to(self.max_prime)))
 

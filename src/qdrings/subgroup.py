@@ -7,6 +7,12 @@ and a torsion part plus a single cyclic summand.  Descriptors are normalized
 at construction, which makes equality a finite structural comparison in
 every case.  In particular a ``SUM`` generator is non-torsion: a torsion
 summand is folded into the torsion part when the sum is built.
+
+Membership never factors.  Deciding ``char(x) >= eta`` needs heights only at
+the primes where eta or the cocharacteristic has an exception, or where x has
+a torsion override.  At every other prime the height of x is inf, unless x is
+non-torsion and the cocharacteristic default is nonzero; then the height is 0
+at all but finitely many primes, so a nonzero eta default excludes x.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from .foundations import (
     Characteristic,
     _expect,
     _Infinity,
-    char_geq,
     meet,
 )
 from .group import (
@@ -31,6 +36,7 @@ from .group import (
     add,
     canonical_elem_str,
     char_of,
+    height,
     is_integers,
     is_torsion,
     neg,
@@ -208,13 +214,33 @@ def _same_group_dx(d: SubgroupDescriptor, x: GroupElement) -> None:
         raise GroupMismatchError("element belongs to a different group")
 
 
+def _dominates(x: GroupElement, eta: Characteristic) -> bool:
+    """Whether char_of(x) >= eta, comparing heights only at the primes eta can name."""
+    chi = x.group.cochar
+    if x.rational != 0 and chi.default != 0 and eta.default != 0:
+        return False  # the heights of x are 0 at all but finitely many primes
+    # elsewhere the height of x is inf, or eta is 0 there
+    for p in set(eta.exception_primes) | set(chi.exception_primes) | x._overrides.keys():
+        v = eta.value(p)
+        if v != 0 and height(x, p) < v:
+            return False
+    return True
+
+
 def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
-    """Exact membership for any descriptor variant."""
+    """Exact membership for any descriptor variant; never factors.
+
+    ``G(eta)`` and ``T(eta)`` compare heights of x with eta only at the
+    exception primes of eta and of the cocharacteristic and at the overrides
+    of x.  A non-torsion x in a group with nonzero cocharacteristic default
+    lies in neither when the eta default is nonzero.  A ``SUM`` reduces to its
+    torsion part.
+    """
     _same_group_dx(d, x)
     if d.kind is DescriptorKind.FULL:
-        return char_geq(char_of(x), d.eta)
+        return _dominates(x, d.eta)
     if d.kind is DescriptorKind.TORSION:
-        return is_torsion(x) and char_geq(char_of(x), d.eta)
+        return is_torsion(x) and _dominates(x, d.eta)
     g = d.generator
     torsion_part = SubgroupDescriptor(d.group, DescriptorKind.TORSION, d.eta)
     if is_torsion(x):  # g is non-torsion, so only its zero multiple is torsion

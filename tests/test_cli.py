@@ -8,8 +8,9 @@ import pytest
 from qdrings.cli import parse_char, parse_elem, run
 from qdrings.errors import ParseError
 from qdrings.foundations import INF, Characteristic
-from qdrings.group import build_group
+from qdrings.group import add, build_group, zmul
 from qdrings.oracle import TrialConfig, random_characteristic, random_element
+from qdrings.ring import make_mult, multiply
 
 CHI_A = "default=0;2:2,3:inf"
 
@@ -85,6 +86,21 @@ def test_ring_witness_membership(capsys):
     assert code == 1 and out.strip() == "not-a-member"
 
 
+@pytest.mark.parametrize("default", ["inf", "1"])
+def test_ring_witness_with_a_product_of_two_large_primes(capsys, deadline, default):
+    # factoring b would not finish; membership in the ideal of g=1 needs no factors
+    b_text = f"r={(10**21 + 117) * (10**21 + 193)}"
+    argv = ["--cochar", f"default={default}", "--m", "r=1", "--g", "r=1", "--b", b_text]
+    with deadline(1.0):
+        code, out, _ = run_cli(capsys, "ring", "witness", *argv)
+    assert code == 0
+    y_text, k_text = out.strip().removeprefix("y=").rsplit(";k=", 1)
+    G = build_group(parse_char(f"default={default}"))
+    mult = make_mult(G, parse_elem("r=1", G))
+    g = parse_elem("r=1", G)
+    assert add(multiply(mult, g, parse_elem(y_text, G)), zmul(int(k_text), g)) == parse_elem(b_text, G)
+
+
 def test_ring_witness_non_absolute(capsys):
     code, out, _ = run_cli(capsys, "ring", "witness", "--cochar", CHI_A, "--m", "r=0;2:1")
     assert code == 0 and out.strip() == "e0=r=1;2:0;p=2;x=r=1/2;2:0"
@@ -134,6 +150,13 @@ def test_verify_json_summary(capsys):
 def test_verify_requires_a_seed(capsys):
     code, _, _ = run_cli(capsys, "verify", "--suite", "thm3.3", "--trials", "5")
     assert code == 2
+
+
+def test_verify_rejects_a_prime_bound_above_the_cap(capsys):
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "thm3.3", "--seed", "1", "--max-prime", "1001"
+    )
+    assert code == 2 and "max_prime must be at most 1000" in err
 
 
 def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):

@@ -129,6 +129,11 @@ def test_is_prime():
     assert not is_prime(1) and not is_prime(-7)
 
 
+def test_is_prime_cache_is_bounded():
+    maxsize = is_prime.cache_info().maxsize
+    assert maxsize is not None and maxsize > 0
+
+
 def test_factorization():
     assert factorization(360) == {2: 3, 3: 2, 5: 1}
     assert factorization(-17) == {17: 1}

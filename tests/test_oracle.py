@@ -13,6 +13,7 @@ from qdrings.mutations import (
     product_dropping_m,
 )
 from qdrings.oracle import (
+    MAX_PRIME_BOUND,
     TrialConfig,
     exact_divide,
     height_oracle,
@@ -40,6 +41,9 @@ def test_trial_config_validation():
         TrialConfig(seed=1, max_prime=3)
     with pytest.raises(ValueError):
         TrialConfig(seed=1, samples_per_instance=0)
+    assert TrialConfig(seed=1, max_prime=MAX_PRIME_BOUND).primes[-1] == 997
+    with pytest.raises(ValueError, match="at most 1000"):
+        TrialConfig(seed=1, max_prime=MAX_PRIME_BOUND + 1)
 
 
 def test_exact_divide_constructs_verified_preimages():

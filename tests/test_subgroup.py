@@ -7,11 +7,18 @@ import pytest
 
 from qdrings.errors import GroupMismatchError, UnsupportedCaseError
 from qdrings.foundations import INF, Characteristic, char_geq
-from qdrings.group import add, build_group, char_of, zmul
-from qdrings.oracle import TrialConfig, random_element, random_group, sample_member
+from qdrings.group import add, build_group, char_of, is_torsion, zmul
+from qdrings.oracle import (
+    TrialConfig,
+    random_characteristic,
+    random_element,
+    random_group,
+    sample_member,
+)
 from qdrings.ring import make_mult, multiply
 from qdrings.subgroup import (
     DescriptorKind,
+    SubgroupDescriptor,
     contains,
     equals,
     full_inv,
@@ -139,10 +146,42 @@ def test_full_membership_matches_characteristic_comparison():
     rng = random.Random(2)
     for _ in range(1000):
         G = random_group(rng, CFG)
-        eta = char_of(random_element(G, rng, CFG, torsion=rng.random() < 0.4))
-        d = full_inv(G, eta)
+        # floors of elements, and arbitrary ones that may have a positive default
+        if rng.random() < 0.5:
+            eta = char_of(random_element(G, rng, CFG, torsion=rng.random() < 0.4))
+        else:
+            eta = random_characteristic(rng, CFG)
         x = random_element(G, rng, CFG, torsion=rng.random() < 0.4)
-        assert contains(d, x) == char_geq(char_of(x), eta)
+        expected = char_geq(char_of(x), eta)
+        # hand-built descriptors skip normalization, so eta reaches contains as drawn
+        for d in (full_inv(G, eta), SubgroupDescriptor(G, DescriptorKind.FULL, eta)):
+            assert contains(d, x) == expected
+        for d in (torsion_inv(G, eta), SubgroupDescriptor(G, DescriptorKind.TORSION, eta)):
+            assert contains(d, x) == (expected and is_torsion(x))
+
+
+def test_membership_never_factors(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorization({n}) called")
+
+    monkeypatch.setattr("qdrings.group.factorization", refuse)
+    # numerators with 22-digit prime factors; factoring them is what contains avoids
+    p, q = 10**21 + 117, 10**21 + 193
+    for cochar in ("default=inf;2:3", "default=1;2:3"):
+        G = build_group(Characteristic.parse(cochar))
+        descriptors = [
+            full_inv(G, Characteristic(0, {2: 1})),
+            torsion_inv(G, Characteristic(0, {2: 1})),
+            plus_cyclic(torsion_inv(G, Characteristic(INF)), G.elem(4 * p)),
+        ]
+        assert [d.kind for d in descriptors] == list(DescriptorKind)
+        b = G.elem(p * q)
+        elements = [b, zmul(8, b), G.elem(0, {2: 4}), zmul(q, descriptors[2].generator)]
+        assert [[contains(d, x) for x in elements] for d in descriptors] == [
+            [False, True, True, True],
+            [False, False, True, False],
+            [False, True, False, True],
+        ]
 
 
 def test_normalization_is_idempotent_and_membership_invariant():
