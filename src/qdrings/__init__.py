@@ -1,6 +1,7 @@
 """Rank-1 quotient divisible abelian groups, their rings, and exact verification tools."""
 
 from .errors import (
+    FactorizationBudgetError,
     GroupMismatchError,
     InvalidDenominatorError,
     NotAMemberError,
@@ -10,6 +11,7 @@ from .errors import (
 )
 from .foundations import (
     INF,
+    MAX_EXPONENT,
     Characteristic,
     ExtNat,
     bezout,

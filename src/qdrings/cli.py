@@ -2,7 +2,8 @@
 
 Exit codes follow a shell-friendly contract: 0 for success and true verdicts,
 1 for mathematical negatives (a ring classified as not AI, a membership that
-fails, a suite reporting FAIL), 2 for usage and parse errors.
+fails, a suite reporting FAIL), 2 for usage and parse errors, bounds beyond a
+documented cap, and integers Brent's method cannot split within its step budget.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import sys
 
 from .errors import (
+    FactorizationBudgetError,
     GroupMismatchError,
     InvalidDenominatorError,
     NotAMemberError,
@@ -19,7 +21,7 @@ from .errors import (
     RingIsAIError,
     UnsupportedCaseError,
 )
-from .foundations import Characteristic
+from .foundations import MAX_EXPONENT, Characteristic
 from .group import GroupElement, Qd1Group, build_group, c_of, char_of, is_torsion, order
 from .oracle import MAX_PRIME_BOUND, TrialConfig
 from .ring import (
@@ -101,7 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--max-prime", type=int, default=13, help=f"largest prime drawn, at most {MAX_PRIME_BOUND}"
     )
-    verify.add_argument("--max-exp", type=int, default=4)
+    verify.add_argument(
+        "--max-exp", type=int, default=4, help=f"largest exponent drawn, at most {MAX_EXPONENT}"
+    )
     verify.add_argument("--samples", type=int, default=20, help="samples per instance")
     verify.add_argument(
         "--format", choices=("text", "json-like-summary"), default="text", dest="format_"
@@ -118,11 +122,12 @@ def _cmd_group_describe(args) -> int:
 def _cmd_elem_info(args) -> int:
     G = build_group(parse_char(args.cochar))
     g = parse_elem(args.elem, G)
+    char, c = char_of(g), c_of(g)  # both may factor; nothing is printed if that fails
     print(f"elem={g}")
-    print(f"char={char_of(g).canonical_str()}")
+    print(f"char={char.canonical_str()}")
     print(f"order={order(g)}")
     print(f"torsion={'true' if is_torsion(g) else 'false'}")
-    print(f"c={c_of(g)}")
+    print(f"c={c}")
     return OK
 
 
@@ -219,6 +224,7 @@ def run(argv) -> int:
         print(str(exc), file=sys.stderr)
         return USAGE
     except (
+        FactorizationBudgetError,
         InvalidDenominatorError,
         GroupMismatchError,
         NotAMemberError,

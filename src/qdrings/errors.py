@@ -31,3 +31,7 @@ class NotAMemberError(ValueError):
 
 class RingIsAIError(ValueError):
     """No witness exists: every ideal of the ring is already an absolute ideal."""
+
+
+class FactorizationBudgetError(ValueError):
+    """Brent's method used up its fixed step budget before the integer split."""

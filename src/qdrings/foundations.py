@@ -14,10 +14,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Union
 
-from .errors import ParseError
+from .errors import FactorizationBudgetError, ParseError
 
 __all__ = [
     "INF",
+    "MAX_EXPONENT",
     "ExtNat",
     "Characteristic",
     "bezout",
@@ -125,13 +126,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n >= _MR_PROVEN_BOUND:  # beyond the proven base set; defer to a library test
-        sympy = _sympy_or_none()
-        if sympy is None:
-            raise ValueError(
-                f"{n} exceeds the deterministically certified primality range; install sympy"
-            )
-        return bool(sympy.isprime(n))
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -145,8 +139,16 @@ def is_prime(n: int) -> bool:
             if x == n - 1:
                 break
         else:
-            return False
-    return True
+            return False  # a witness proves n composite at any size
+    if n < _MR_PROVEN_BOUND:
+        return True
+    # a strong probable prime beyond the proven base set; defer to a library test
+    sympy = _sympy_or_none()
+    if sympy is None:
+        raise ValueError(
+            f"{n} exceeds the deterministically certified primality range; install sympy"
+        )
+    return bool(sympy.isprime(n))
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -232,15 +234,31 @@ def crt(congruences) -> tuple[int, int]:
     return r % m, m
 
 
-_TRIAL_LIMIT = 10**5
+# Trial division takes out the primes below _TRIAL_BOUND, so a cofactor below its square is prime.
+_TRIAL_BOUND = 2**10
+_TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
+# Polynomial steps Brent's method may take over one factorization, every split and constant c
+# included: ample for factors up to about 10**9, too few for two 22-digit primes.
+_BRENT_STEPS = 2**18
 
 
-def _brent_split(n: int) -> int:
-    """A nontrivial divisor of an odd composite n, by Brent's cycle method."""
-    for c in range(1, 1000):
+def _brent_split(n: int, budget: int) -> tuple[int, int]:
+    """A nontrivial divisor of an odd composite n by Brent's cycle method, and the budget left.
+
+    Raises FactorizationBudgetError rather than take more than `budget` polynomial steps.
+    """
+    c = 0
+    while True:
+        c += 1
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
+            budget -= 2 * r  # the r steps that move x on, and at most r more to look for a cycle
+            if budget < 0:
+                raise FactorizationBudgetError(
+                    f"Brent's method did not split the {len(str(n))}-digit composite {n} "
+                    f"within {_BRENT_STEPS} steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -253,53 +271,58 @@ def _brent_split(n: int) -> int:
                 g = math.gcd(q, n)
                 k += 128
             r *= 2
-        if g == n:  # the batch overshot; replay one step at a time
+        if g == n:  # the batch overshot; replay its at most 128 steps one at a time
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
                 g = math.gcd(abs(x - ys), n)
         if g != n:
-            return g
-    raise ValueError(f"failed to split composite {n}")
+            return g, budget
 
 
 def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _brent_split(n)
-    _factor_into(d, out)
-    _factor_into(n // d, out)
+    """Add the prime factors of n > 1, which has none below _TRIAL_BOUND, to out."""
+    budget = _BRENT_STEPS
+    pending = [n]
+    while pending:
+        n = pending.pop()
+        if n < _TRIAL_BOUND**2 or is_prime(n):
+            out[n] = out.get(n, 0) + 1
+        else:
+            d, budget = _brent_split(n, budget)
+            pending += (d, n // d)
 
 
 def factorization(n: int) -> dict[int, int]:
-    """Prime factorization of abs(n) as an exponent map; n must be nonzero."""
+    """Prime factorization of abs(n) as an exponent map; n must be nonzero.
+
+    Trial division by the primes below 2**10, then Miller-Rabin on the cofactor and Brent's
+    method within a fixed step budget (FactorizationBudgetError when it runs out).
+    """
     if n == 0:
         raise ValueError("0 has no prime factorization")
     n = abs(n)
     out: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    p = 7
-    while p * p <= n and p < _TRIAL_LIMIT:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 2
+    for p in _TRIAL_PRIMES:
+        if p * p > n:  # n has no prime factor below p, so it is 1 or prime
+            break
+        if n % p == 0:
+            k = 0
+            while n % p == 0:
+                n //= p
+                k += 1
+            out[p] = k
     if n > 1:
-        if p * p > n:
-            out[n] = out.get(n, 0) + 1  # the remainder is prime
-        else:
-            _factor_into(n, out)
+        _factor_into(n, out)
     return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
 # characteristics
+
+
+# Largest finite value the grammar accepts: a group builds p**v for its torsion slots.
+MAX_EXPONENT = 1000
 
 
 def _fmt_value(v: ExtNat) -> str:
@@ -370,7 +393,7 @@ class Characteristic:
 
     @classmethod
     def parse(cls, text: str) -> "Characteristic":
-        """Parse the `default=<v>[;p:v,...]` grammar; v is a nonnegative integer or `inf`."""
+        """Parse the `default=<v>[;p:v,...]` grammar; v is `inf` or an integer 0..MAX_EXPONENT."""
         pos = _expect(text, 0, "default=")
         default, pos = _scan_value(text, pos)
         exc: dict[int, ExtNat] = {}
@@ -461,4 +484,7 @@ def _scan_int(text: str, pos: int) -> tuple[int, int]:
 def _scan_value(text: str, pos: int) -> tuple[ExtNat, int]:
     if text.startswith("inf", pos):
         return INF, pos + 3
-    return _scan_uint(text, pos)
+    v, end = _scan_uint(text, pos)
+    if v > MAX_EXPONENT:
+        raise ParseError(text, pos, f"inf or an integer at most {MAX_EXPONENT}")
+    return v, end

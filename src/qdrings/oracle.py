@@ -15,7 +15,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidDenominatorError
-from .foundations import INF, Characteristic, _Infinity, is_zero_type, mod_inverse, primes_up_to
+from .foundations import (
+    INF,
+    MAX_EXPONENT,
+    Characteristic,
+    _Infinity,
+    is_zero_type,
+    mod_inverse,
+    primes_up_to,
+)
 from .group import (
     GroupElement,
     Qd1Group,
@@ -73,6 +81,8 @@ class TrialConfig:
             raise ValueError("max_prime must be at least 5 so divisible and finite primes coexist")
         if self.max_prime > MAX_PRIME_BOUND:
             raise ValueError(f"max_prime must be at most {MAX_PRIME_BOUND}")
+        if self.max_exp > MAX_EXPONENT:
+            raise ValueError(f"max_exp must be at most {MAX_EXPONENT}")
         # sieved once per sweep; every generator draws from these primes
         object.__setattr__(self, "primes", tuple(primes_up_to(self.max_prime)))
 

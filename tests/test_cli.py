@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from qdrings import foundations
 from qdrings.cli import parse_char, parse_elem, run
 from qdrings.errors import ParseError
 from qdrings.foundations import INF, Characteristic
-from qdrings.group import add, build_group, zmul
+from qdrings.group import Qd1Group, add, build_group, zmul
 from qdrings.oracle import TrialConfig, random_characteristic, random_element
 from qdrings.ring import make_mult, multiply
 
@@ -101,6 +102,27 @@ def test_ring_witness_with_a_product_of_two_large_primes(capsys, deadline, defau
     assert add(multiply(mult, g, parse_elem(y_text, G)), zmul(int(k_text), g)) == parse_elem(b_text, G)
 
 
+N_TWO_LARGE = (10**21 + 117) * (10**21 + 193)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ring", "ideal", "--cochar", "default=inf", "--m", "r=1", "--g", f"r={N_TWO_LARGE}"),
+        ("ring", "witness", "--cochar", "default=inf", "--m", "r=1", "--g", f"r={N_TWO_LARGE}",
+         "--b", f"r={N_TWO_LARGE}"),
+        ("elem", "info", "--cochar", "default=1", "--elem", f"r={N_TWO_LARGE}"),
+    ],
+    ids=["ring-ideal", "ring-witness", "elem-info"],
+)
+def test_factoring_beyond_the_brent_budget_exits_two(capsys, deadline, argv):
+    foundations._sympy_or_none()  # is_prime may consult sympy; its first import is not timed
+    with deadline(2.0):
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "did not split" in err
+
+
 def test_ring_witness_non_absolute(capsys):
     code, out, _ = run_cli(capsys, "ring", "witness", "--cochar", CHI_A, "--m", "r=0;2:1")
     assert code == 0 and out.strip() == "e0=r=1;2:0;p=2;x=r=1/2;2:0"
@@ -159,6 +181,16 @@ def test_verify_rejects_a_prime_bound_above_the_cap(capsys):
     assert code == 2 and "max_prime must be at most 1000" in err
 
 
+def test_verify_rejects_an_exponent_bound_above_the_cap(capsys, monkeypatch):
+    from qdrings import cli
+
+    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: pytest.fail("a suite ran"))
+    code, _, err = run_cli(
+        capsys, "verify", "--suite", "thm3.3", "--seed", "1", "--max-exp", "1001"
+    )
+    assert code == 2 and "max_exp must be at most 1000" in err
+
+
 def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     from qdrings import cli
     from qdrings.oracle import CheckReport
@@ -181,6 +213,14 @@ def test_parse_errors_exit_two_with_positions(capsys):
     assert code == 2 and "position" in err
     code, _, err = run_cli(capsys, "elem", "info", "--cochar", CHI_A, "--elem", "x=1")
     assert code == 2
+
+
+def test_exponents_above_the_cap_are_rejected_before_a_group_is_built(capsys, monkeypatch):
+    monkeypatch.setattr(Qd1Group, "__init__", lambda self, cochar: pytest.fail("a group was built"))
+    code, _, err = run_cli(capsys, "group", "describe", "--cochar", "default=0;2:10000000000")
+    assert code == 2 and "position 12" in err and "at most 1000" in err
+    code, _, err = run_cli(capsys, "ai", "ideal", "--cochar", "default=1001", "--g", "r=1")
+    assert code == 2 and "position 8" in err
 
 
 def test_unknown_command_exits_two(capsys):

@@ -1,14 +1,17 @@
 """Tests for the integer primitives and the characteristic calculus."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from qdrings.errors import ParseError
+from qdrings import foundations
+from qdrings.errors import FactorizationBudgetError, ParseError
 from qdrings.foundations import (
     INF,
+    MAX_EXPONENT,
     Characteristic,
     bezout,
     char_geq,
@@ -25,6 +28,7 @@ from qdrings.foundations import (
 )
 
 PRIMES = (2, 3, 5, 7, 11, 13)
+P22, Q22 = 10**21 + 117, 10**21 + 193  # 22-digit primes
 
 ext_values = st.one_of(st.integers(0, 4), st.just(INF))
 characteristics = st.builds(
@@ -142,6 +146,47 @@ def test_factorization():
         factorization(0)
 
 
+# primes on both sides of the trial-division bound 2**10, and powers of those just above it
+NEAR_BOUND = tuple(p for p in primes_up_to(2**11) if p > 2**9)
+JUST_ABOVE = tuple(p for p in NEAR_BOUND if p > 2**10)[:12]
+factorable = st.one_of(
+    st.lists(st.sampled_from(NEAR_BOUND), min_size=1, max_size=4).map(math.prod),
+    st.sampled_from(JUST_ABOVE).flatmap(lambda p: st.sampled_from((p**2, p**3))),
+    st.integers(1, 1000).map(lambda k: k * P22),
+)
+
+
+@given(factorable, st.sampled_from((1, -1)))
+def test_factorization_multiplies_back_to_ascending_primes(n, sign):
+    f = factorization(sign * n)
+    assert math.prod(p**e for p, e in f.items()) == n
+    assert all(is_prime(p) and e > 0 for p, e in f.items())
+    assert list(f) == sorted(f)
+
+
+def test_factoring_a_large_prime_times_a_small_k_is_fast(deadline):
+    # the cofactor goes straight to Miller-Rabin, with no trial-division sweep before it
+    with deadline(1.0):
+        for k in range(1, 301):
+            assert factorization(k * P22)[P22] == 1
+
+
+def test_brent_gives_up_within_its_step_budget(deadline):
+    with deadline(2.0):
+        with pytest.raises(FactorizationBudgetError, match="did not split"):
+            factorization(3 * P22 * Q22)
+    assert issubclass(FactorizationBudgetError, ValueError)
+
+
+def test_composites_beyond_the_proven_range_need_no_sympy(monkeypatch):
+    monkeypatch.setattr(foundations, "_sympy_or_none", lambda: None)
+    is_prime.cache_clear()
+    assert not is_prime(P22 * Q22)
+    assert factorization(1031**10) == {1031: 10}
+    with pytest.raises(ValueError, match="install sympy"):
+        is_prime(2**89 - 1)  # a prime beyond the proven Miller-Rabin range
+
+
 # -- characteristics ---------------------------------------------------------
 
 
@@ -178,6 +223,14 @@ def test_characteristic_parse_errors_carry_positions():
     with pytest.raises(ParseError) as err:
         Characteristic.parse("default=0;2:1,2:2")
     assert err.value.pos == 14
+
+
+def test_characteristic_parse_caps_exponents():
+    assert Characteristic.parse(f"default=0;2:{MAX_EXPONENT}").value(2) == MAX_EXPONENT
+    for text, pos in ((f"default={MAX_EXPONENT + 1}", 8), ("default=0;2:10000000000", 12)):
+        with pytest.raises(ParseError) as err:
+            Characteristic.parse(text)
+        assert err.value.pos == pos
 
 
 @given(characteristics)

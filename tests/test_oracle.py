@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qdrings.foundations import INF, Characteristic
+from qdrings.foundations import INF, MAX_EXPONENT, Characteristic
 from qdrings.group import build_group, char_of, height, zmul
 from qdrings.mutations import (
     certifier_skipping_verification,
@@ -44,6 +44,9 @@ def test_trial_config_validation():
     assert TrialConfig(seed=1, max_prime=MAX_PRIME_BOUND).primes[-1] == 997
     with pytest.raises(ValueError, match="at most 1000"):
         TrialConfig(seed=1, max_prime=MAX_PRIME_BOUND + 1)
+    assert TrialConfig(seed=1, max_exp=MAX_EXPONENT).max_exp == MAX_EXPONENT
+    with pytest.raises(ValueError, match="max_exp must be at most 1000"):
+        TrialConfig(seed=1, max_exp=MAX_EXPONENT + 1)
 
 
 def test_exact_divide_constructs_verified_preimages():
