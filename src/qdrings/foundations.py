@@ -100,55 +100,83 @@ def _check_extnat(value, what: str) -> None:
 # integer primitives
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_PROVEN_BOUND = 3317044064679887385961981  # the 12-base test is exact below this
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# Miller-Rabin with the 13 primes 2..41 as bases is exact below psi_13 (Jiang and Deng,
+# Math. Comp. 83, 2014); the first 12 of them pass psi_12 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN_BOUND = 3317044064679887385961981  # psi_13
 
 
-def _sympy_or_none():
-    # optional helper for inputs beyond the self-contained ranges
-    try:
-        import sympy
-    except ImportError:
-        return None
-    return sympy
+def _is_strong_prp(n: int, a: int) -> bool:
+    """Whether the odd n > a passes the strong (Miller-Rabin) test to base a."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    sign = 1
+    while a := a % n:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a, n = n, a
+    return sign if n == 1 else 0
+
+
+def _is_strong_lucas_prp(n: int) -> bool:
+    """Strong Lucas probable-prime test of odd n > 1 (Baillie and Wagstaff, Math. Comp. 35, 1980).
+
+    Selfridge's parameters: D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4. With n + 1 = d * 2**s, d odd, n passes if U_d or a V_{d*2**r}, r < s, is 0 mod n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # a square has no D with (D/n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) == 1:
+        D = 2 - D if D < 0 else -D - 2
+    if j == 0:
+        return n == abs(D)  # D shares a factor with n
+    Q, half = (1 - D) // 4, (n + 1) // 2  # half is the inverse of 2 modulo n
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    u, v, qk = 1, 1, Q % n  # U_k, V_k and Q**k modulo n for k = 1, the leading bit of d
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v, qk = (u + v) * half % n, (D * u + v) * half % n, qk * Q % n
+    for _ in range(s):  # u stays U_d while v runs through V_{d*2**r}
+        if u == 0 or v == 0:
+            return True
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+    return False
 
 
 @lru_cache(maxsize=4096)  # bounded: every prime ever asked about would otherwise stay cached
 def is_prime(n: int) -> bool:
-    """Deterministic primality test."""
+    """Primality: exact below psi_13 (about 3.3e24) by Miller-Rabin with the 13 bases 2..41.
+
+    At and above it, base-2 Miller-Rabin then a strong Lucas test: Baillie-PSW, a probable-prime
+    test with no known counterexample. Whatever either rejects is proven composite.
+    """
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"primality is defined for integers, got {n!r}")
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
+    for p in _MR_BASES:
         if n % p == 0:
-            return False
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False  # a witness proves n composite at any size
+            return n == p
     if n < _MR_PROVEN_BOUND:
-        return True
-    # a strong probable prime beyond the proven base set; defer to a library test
-    sympy = _sympy_or_none()
-    if sympy is None:
-        raise ValueError(
-            f"{n} exceeds the deterministically certified primality range; install sympy"
-        )
-    return bool(sympy.isprime(n))
+        return all(_is_strong_prp(n, a) for a in _MR_BASES)
+    return _is_strong_prp(n, 2) and _is_strong_lucas_prp(n)
 
 
 def primes_up_to(bound: int) -> list[int]:

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .foundations import (
     INF,
-    _SMALL_PRIMES,
+    _TRIAL_PRIMES,
     Characteristic,
     ExtNat,
     _Infinity,
@@ -289,7 +289,7 @@ def _check_denominator(group: Qd1Group, den: int, overrides: dict[int, int]) -> 
             rest //= p
     if rest > 1 and chi.default != 0:
         # name a prime only when trial division finds one; factoring rest may not finish
-        p = next((p for p in _SMALL_PRIMES if rest % p == 0), None)
+        p = next((p for p in _TRIAL_PRIMES if rest % p == 0), None)
         part = f"prime {p}" if p else f"part {rest}"
         raise InvalidDenominatorError(
             f"denominator {part} has cocharacteristic {chi.default} and no override"

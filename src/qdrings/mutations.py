@@ -11,8 +11,8 @@ the sensitivity test asserts exactly that.
 from __future__ import annotations
 
 from .foundations import Characteristic, _Infinity
-from .group import GroupElement, _build, coordinate_residue
-from .ring import Multiplication, PrincipalWitness, certify_member
+from .group import GroupElement
+from .ring import Multiplication, PrincipalWitness, certify_member, multiply
 from .subgroup import DescriptorKind, SubgroupDescriptor, full_inv, plus_cyclic, torsion_inv
 
 __all__ = ["certifier_skipping_verification", "lowered_eta", "product_dropping_m"]
@@ -37,13 +37,8 @@ def lowered_eta(d: SubgroupDescriptor, p: int = 2) -> SubgroupDescriptor:
 
 
 def product_dropping_m(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupElement:
-    """Coordinatewise product that forgets the defining element entirely."""
-    G = mult.group
-    chi = G.cochar
-    ov = {}
-    for p in g1.overrides.keys() | g2.overrides.keys():
-        ov[p] = coordinate_residue(g1, p) * coordinate_residue(g2, p) % p ** chi.value(p)
-    return _build(G, g1.rational * g2.rational, ov)
+    """Coordinatewise product that forgets the defining element: the basis square taken as e."""
+    return multiply(Multiplication(mult.group, mult.group.basis_element()), g1, g2)
 
 
 def certifier_skipping_verification(mult: Multiplication, g: GroupElement, b: GroupElement):

@@ -92,9 +92,6 @@ class Multiplication:
     def m_elt(self) -> GroupElement:
         return self._m
 
-    def product(self, g1: GroupElement, g2: GroupElement) -> GroupElement:
-        return multiply(self, g1, g2)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multiplication):
             return NotImplemented

@@ -116,7 +116,6 @@ N_TWO_LARGE = (10**21 + 117) * (10**21 + 193)
     ids=["ring-ideal", "ring-witness", "elem-info"],
 )
 def test_factoring_beyond_the_brent_budget_exits_two(capsys, deadline, argv):
-    foundations._sympy_or_none()  # is_prime may consult sympy; its first import is not timed
     with deadline(2.0):
         code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -213,6 +212,21 @@ def test_parse_errors_exit_two_with_positions(capsys):
     assert code == 2 and "position" in err
     code, _, err = run_cli(capsys, "elem", "info", "--cochar", CHI_A, "--elem", "x=1")
     assert code == 2
+
+
+def test_a_composite_key_passing_twelve_prime_bases_is_rejected(capsys):
+    psi_12 = 318665857834031151167461  # 399165290221 * 798330580441
+    code, out, err = run_cli(capsys, "group", "describe", "--cochar", f"default=0;{psi_12}:1")
+    assert code == 2 and out == ""
+    assert "position 10" in err and "a prime" in err
+
+
+def test_a_1332_digit_prime_key_is_checked_quickly(capsys, deadline):
+    p = 2**4423 - 1  # a Mersenne prime
+    foundations.is_prime.cache_clear()
+    with deadline(2.0):
+        code, out, _ = run_cli(capsys, "group", "describe", "--cochar", f"default=inf;{p}:0")
+    assert code == 0 and out.strip() == f"reduced cochar=default=inf;{p}:0"
 
 
 def test_exponents_above_the_cap_are_rejected_before_a_group_is_built(capsys, monkeypatch):

@@ -2,12 +2,14 @@
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qdrings import foundations
+from qdrings.cli import run
 from qdrings.errors import FactorizationBudgetError, ParseError
 from qdrings.foundations import (
     INF,
@@ -126,11 +128,50 @@ def test_crt():
         crt([(0, 4), (1, 6)])  # moduli share a factor
 
 
+# psi_k: the least odd composite that passes Miller-Rabin to each of the first k prime bases
+PSI_9 = 3825123056546413051  # also psi_10 and psi_11
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
 def test_is_prime():
     assert [p for p in range(60) if is_prime(p)] == primes_up_to(59)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
     assert not is_prime(1) and not is_prime(-7)
+    assert PSI_12 == 399165290221 * 798330580441 and is_prime(399165290221)
+    assert not is_prime(PSI_9) and not is_prime(PSI_12) and not is_prime(PSI_13)
+
+
+SIEVED = frozenset(primes_up_to(10**6))
+
+
+@given(st.integers(-10, 10**6))
+def test_is_prime_agrees_with_the_sieve(n):
+    assert is_prime(n) == (n in SIEVED)
+
+
+@pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])  # OEIS A217255
+def test_strong_lucas_pseudoprimes_fail_base_two(n):
+    assert foundations._is_strong_lucas_prp(n)
+    assert not foundations._is_strong_prp(n, 2)
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_sympy_beyond_the_proven_range():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2014)
+    mersenne = (2**89 - 1, 2**127 - 1, 2**521 - 1)
+    cases = [*mersenne, *(a * b for a in mersenne for b in mersenne)]
+    for _ in range(1000):
+        bits = rng.randint(82, 1000)
+        cases.append(rng.getrandbits(bits) | 1 << (bits - 1) | 1)
+    cases += [sympy.nextprime(2**bits + rng.getrandbits(bits)) for bits in (82, 96, 128, 192, 256)]
+    for n in cases:
+        assert is_prime(n) == sympy.isprime(n), n
+    lucas = sympy.ntheory.primetest.is_strong_lucas_prp
+    for n in range(3, 20000, 2):  # squares and D sharing a factor with n included
+        assert foundations._is_strong_lucas_prp(n) == lucas(n), n
 
 
 def test_is_prime_cache_is_bounded():
@@ -178,13 +219,15 @@ def test_brent_gives_up_within_its_step_budget(deadline):
     assert issubclass(FactorizationBudgetError, ValueError)
 
 
-def test_composites_beyond_the_proven_range_need_no_sympy(monkeypatch):
-    monkeypatch.setattr(foundations, "_sympy_or_none", lambda: None)
+def test_composites_beyond_the_proven_range_need_no_sympy(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "sympy", None)  # `import sympy` raises ImportError
     is_prime.cache_clear()
     assert not is_prime(P22 * Q22)
     assert factorization(1031**10) == {1031: 10}
-    with pytest.raises(ValueError, match="install sympy"):
-        is_prime(2**89 - 1)  # a prime beyond the proven Miller-Rabin range
+    m89 = 2**89 - 1  # a prime beyond the proven Miller-Rabin range
+    assert is_prime(m89)
+    assert run(["elem", "info", "--cochar", "default=inf", "--elem", f"r={2 * m89}"]) == 0
+    assert f"char=default=0;2:1,{m89}:1\n" in capsys.readouterr().out
 
 
 # -- characteristics ---------------------------------------------------------

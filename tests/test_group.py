@@ -98,6 +98,8 @@ def test_invalid_denominator_with_two_large_primes_is_rejected_without_factoring
             G.elem(Fraction(1, p * q))
         with pytest.raises(InvalidDenominatorError, match="denominator prime 5 "):
             G.elem(Fraction(1, 5 * p * q))  # a small prime is still named
+        with pytest.raises(InvalidDenominatorError, match="denominator prime 53 "):
+            G.elem(Fraction(1, 53 * p))  # so is any prime below 2**10
         code = run(["elem", "info", "--cochar", "default=1", "--elem", f"r=1/{p * q}"])
     assert code == 2
     assert "a valid denominator" in capsys.readouterr().err
