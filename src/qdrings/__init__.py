@@ -35,7 +35,6 @@ from .group import (
     c_of,
     char_of,
     decompose,
-    elem,
     height,
     is_integers,
     is_torsion,
@@ -56,7 +55,6 @@ from .ring import (
     NonAbsoluteWitness,
     PrincipalWitness,
     certify_member,
-    element_of_mult,
     is_ai_ring,
     is_fi_ring,
     is_nai,

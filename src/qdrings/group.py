@@ -49,7 +49,6 @@ __all__ = [
     "char_of",
     "coordinate_residue",
     "decompose",
-    "elem",
     "height",
     "is_integers",
     "is_torsion",
@@ -139,23 +138,15 @@ class Qd1Group:
         """Build a nonreduced element from its (rational, torsion residue) pair."""
         if self.is_reduced:
             raise UnsupportedCaseError("elem_qb applies to nonreduced groups only")
-        b %= self._modulus if self._modulus else 1
+        b %= self._modulus
         ov = {p: b % self._slot(p) for p in self._torsion_keys}
         return _build(self, Fraction(q), ov)
 
     def zero(self) -> "GroupElement":
         return self.elem(0)
 
-    def basis_element(self, omit=()) -> "GroupElement":
-        """The basis element, with the torsion coordinate zeroed at each prime in omit."""
-        ov = {}
-        for p in omit:
-            k = self._cochar.value(p)
-            if isinstance(k, _Infinity):
-                raise ValueError(f"the coordinate at {p} cannot be zeroed: cocharacteristic is inf")
-            if k > 0:
-                ov[p] = 0
-        return self.elem(1, ov)
+    def basis_element(self) -> "GroupElement":
+        return self.elem(1)
 
     def parse_elem(self, text: str) -> "GroupElement":
         return _parse_element(self, text)
@@ -296,10 +287,11 @@ def _check_denominator(group: Qd1Group, den: int, overrides: dict[int, int]) -> 
         )
 
 
-def _same_group(g: GroupElement, h: GroupElement) -> Qd1Group:
-    if g._group != h._group:
-        raise GroupMismatchError("elements belong to different groups")
-    return g._group
+def _same_group(G: Qd1Group, *values) -> None:
+    """Raise unless every value (element, descriptor, multiplication) lives in G."""
+    for v in values:
+        if v._group is not G and v._group != G:
+            raise GroupMismatchError("arguments belong to different groups")
 
 
 def coordinate_residue(g: GroupElement, p: int) -> int:
@@ -314,12 +306,9 @@ def coordinate_residue(g: GroupElement, p: int) -> int:
 # group laws
 
 
-def elem(G: Qd1Group, rational, overrides: Mapping[int, int] | None = None) -> GroupElement:
-    return G.elem(rational, overrides)
-
-
 def add(g: GroupElement, h: GroupElement) -> GroupElement:
-    G = _same_group(g, h)
+    G = g._group
+    _same_group(G, h)
     ov = {}
     for p in g._overrides.keys() | h._overrides.keys():
         q = G._slot(p)
@@ -400,15 +389,19 @@ def c_of(g: GroupElement) -> int:
         return 0
     chi = g.group.cochar
     r = g.rational
-    result = 1
     if isinstance(chi.default, _Infinity):
-        for p, e in factorization(r.numerator).items():
-            if isinstance(chi.value(p), _Infinity):
-                result *= p**e
-    else:
+        # every prime but the finite-value exceptions is divisible, so dividing those
+        # out of |num r| leaves c without factoring
+        result = abs(r.numerator)
         for p, v in chi.exception_items():
-            if isinstance(v, _Infinity):
-                result *= p ** max(0, vp(r, p))
+            if not isinstance(v, _Infinity):
+                while result % p == 0:
+                    result //= p
+        return result
+    result = 1
+    for p, v in chi.exception_items():
+        if isinstance(v, _Infinity):
+            result *= p ** max(0, vp(r, p))
     return result
 
 
@@ -467,8 +460,12 @@ def decompose(g: GroupElement) -> Decomposition:
     scale = c_of(g)
     rational = g.rational / scale
     support = set(g._overrides) | _finite_positive_chi_divisors(G, g.rational.numerator)
-    tail = _build(G, Fraction(0), {p: coordinate_residue(g, p) for p in support})
-    return Decomposition(scale, rational, tail, frozenset(support))
+    return Decomposition(scale, rational, _tail(g, support), frozenset(support))
+
+
+def _tail(g: GroupElement, support: set[int]) -> GroupElement:
+    """The torsion part of g supported on the given primes."""
+    return _build(g._group, Fraction(0), {p: coordinate_residue(g, p) for p in support})
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +535,6 @@ def _parse_element(G: Qd1Group, text: str) -> GroupElement:
     b, pos = _scan_uint(text, res_pos)
     if pos != len(text):
         raise ParseError(text, pos, "end of input")
-    bound = G.modulus if G.modulus else 1
-    if b >= bound:
-        raise ParseError(text, res_pos, f"a residue below {bound}")
+    if b >= G.modulus:
+        raise ParseError(text, res_pos, f"a residue below {G.modulus}")
     return G.elem_qb(rational, b)

@@ -18,8 +18,9 @@ from .subgroup import DescriptorKind, SubgroupDescriptor, full_inv, plus_cyclic,
 __all__ = ["certifier_skipping_verification", "lowered_eta", "product_dropping_m"]
 
 
-def lowered_eta(d: SubgroupDescriptor, p: int = 2) -> SubgroupDescriptor:
-    """The descriptor with its height floor dropped by one at a single prime."""
+def lowered_eta(d: SubgroupDescriptor) -> SubgroupDescriptor:
+    """The descriptor with its height floor dropped by one at the prime 2."""
+    p = 2
     v = d.eta.value(p)
     chi_p = d.group.cochar.value(p)
     if isinstance(v, _Infinity):

@@ -33,7 +33,7 @@ from .group import (
     coordinate_residue,
     zmul,
 )
-from .ring import Multiplication, certify_member, element_of_mult, make_mult, multiply
+from .ring import Multiplication, certify_member, make_mult, multiply
 from .subgroup import (
     DescriptorKind,
     SubgroupDescriptor,
@@ -341,7 +341,7 @@ def ideal_two_way_check(
     g: GroupElement,
     d: SubgroupDescriptor,
     cfg: TrialConfig,
-    certifier=None,
+    certifier=certify_member,
 ) -> CheckReport:
     """Sample both inclusions between the ideal of g and the descriptor d.
 
@@ -349,9 +349,8 @@ def ideal_two_way_check(
     defining identity is recomputed here, independently of how the witness
     was produced.
     """
-    certifier = certifier or certify_member
     G = mult.group
-    rng = cfg.rng("ideal", _input_digest(G.cochar, element_of_mult(mult), g))
+    rng = cfg.rng("ideal", _input_digest(G.cochar, mult.m_elt, g))
     report = CheckReport("ideal-two-way")
     for i in range(cfg.samples_per_instance):
         x = random_element(G, rng, cfg, torsion=rng.random() < 0.3)
@@ -383,15 +382,14 @@ def ring_axiom_check(
     cfg: TrialConfig,
     *,
     product=multiply,
-    make=make_mult,
 ) -> CheckReport:
     """Exact commutativity, associativity, bilinearity, and additivity in the defining element."""
     G = mult.group
-    rng = cfg.rng("axioms", _input_digest(G.cochar, element_of_mult(mult)))
+    rng = cfg.rng("axioms", _input_digest(G.cochar, mult.m_elt))
     report = CheckReport("ring-axioms")
     e = G.basis_element()
     report.trials += 1
-    if product(mult, e, e) != element_of_mult(mult):
+    if product(mult, e, e) != mult.m_elt:
         report.record(0, "square of the basis element does not round-trip")
     for i in range(cfg.samples_per_instance):
         x = random_element(G, rng, cfg)
@@ -408,8 +406,8 @@ def ring_axiom_check(
             report.record(i, "distributivity failed")
             continue
         m2 = random_element(G, rng, cfg)
-        lhs = product(make(G, add(element_of_mult(mult), m2)), x, y)
-        rhs = add(product(mult, x, y), product(make(G, m2), x, y))
+        lhs = product(make_mult(G, add(mult.m_elt, m2)), x, y)
+        rhs = add(product(mult, x, y), product(make_mult(G, m2), x, y))
         if lhs != rhs:
             report.record(i, "additivity in the defining element failed")
     return report

@@ -14,12 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    GroupMismatchError,
-    NotAMemberError,
-    RingIsAIError,
-    UnsupportedCaseError,
-)
+from .errors import NotAMemberError, RingIsAIError, UnsupportedCaseError
 from .foundations import (
     INF,
     Characteristic,
@@ -36,6 +31,8 @@ from .group import (
     _build,
     _finite_positive_chi_divisors,
     _residue,
+    _same_group,
+    _tail,
     add,
     c_of,
     char_of,
@@ -59,7 +56,6 @@ __all__ = [
     "NonAbsoluteWitness",
     "PrincipalWitness",
     "certify_member",
-    "element_of_mult",
     "is_ai_ring",
     "is_fi_ring",
     "is_nai",
@@ -79,8 +75,7 @@ class Multiplication:
     __slots__ = ("_group", "_m")
 
     def __init__(self, group: Qd1Group, m_elt: GroupElement):
-        if m_elt.group != group:
-            raise GroupMismatchError("defining element belongs to a different group")
+        _same_group(group, m_elt)
         self._group = group
         self._m = m_elt
 
@@ -135,11 +130,6 @@ def make_mult(G: Qd1Group, m: GroupElement) -> Multiplication:
     return Multiplication(G, m)
 
 
-def element_of_mult(mult: Multiplication) -> GroupElement:
-    """Round-trip inverse of make_mult."""
-    return mult.m_elt
-
-
 def is_nai(mult: Multiplication) -> bool:
     """Whether the defining element is torsion; the torsion part of the multiplication group."""
     return is_torsion(mult.m_elt)
@@ -148,8 +138,7 @@ def is_nai(mult: Multiplication) -> bool:
 def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupElement:
     """The ring product: coordinatewise, weighted by the square of the basis element."""
     G = mult._group
-    if g1._group != G or g2._group != G:
-        raise GroupMismatchError("factors belong to a different group")
+    _same_group(G, g1, g2)
     m = mult._m
     ov = {}
     for p in g1._overrides.keys() | g2._overrides.keys() | m._overrides.keys():
@@ -171,17 +160,14 @@ def is_fi_ring(mult: Multiplication) -> bool:
 def principal_ideal(mult: Multiplication, g: GroupElement) -> SubgroupDescriptor:
     """The ideal generated by g, in closed form.
 
-    Torsion generators give the torsion descriptor of their characteristic;
-    otherwise the outcome splits on whether all products are torsion, which
-    happens exactly when the basis square is.
+    It is the principal absolute ideal unless g is non-torsion and all
+    products are torsion, which happens exactly when the basis square is;
+    then it is the torsion of g x e plus the multiples of g.
     """
     G = mult.group
-    if g.group != G:
-        raise GroupMismatchError("generator belongs to a different group")
-    if is_torsion(g):
-        return torsion_inv(G, char_of(g))
-    if not is_torsion(mult.m_elt):
-        return full_inv(G, char_of(g))
+    _same_group(G, g)
+    if is_torsion(g) or not is_torsion(mult.m_elt):
+        return principal_absolute_ideal(g)
     g_times_e = multiply(mult, g, G.basis_element())
     return plus_cyclic(torsion_inv(G, char_of(g_times_e)), g)
 
@@ -209,8 +195,7 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     if not is_torsion(g):
         raise UnsupportedCaseError("torsion_witness needs a torsion base element")
     G = g.group
-    if u.group != G:
-        raise GroupMismatchError("target belongs to a different group")
+    _same_group(G, u)
     if not contains(torsion_inv(G, char_of(g)), u):
         raise NotAMemberError(f"{u} is not an integer multiple of {g}")
     if u == G.zero():
@@ -231,11 +216,6 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     return n
 
 
-def _tail(g: GroupElement, support: set[int]) -> GroupElement:
-    """The torsion part of g supported on the given primes."""
-    return _build(g.group, Fraction(0), {p: coordinate_residue(g, p) for p in support})
-
-
 def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -> PrincipalWitness | None:
     """A witness b = g x y + k*g when b lies in the ideal of a non-torsion g, or None.
 
@@ -246,8 +226,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     multiple for the tail.  The witness is recomputed before being returned.
     """
     G = mult.group
-    if g.group != G or b.group != G:
-        raise GroupMismatchError("arguments belong to a different group")
+    _same_group(G, g, b)
     m = mult.m_elt
     if is_torsion(g) or is_torsion(m):
         raise UnsupportedCaseError(
@@ -297,8 +276,7 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
     product with the basis.
     """
     G = mult.group
-    if g.group != G or b.group != G:
-        raise GroupMismatchError("arguments belong to a different group")
+    _same_group(G, g, b)
     if is_torsion(g):
         if not is_torsion(b):
             return None

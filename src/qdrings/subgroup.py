@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 
-from .errors import GroupMismatchError, ParseError, UnsupportedCaseError
+from .errors import ParseError, UnsupportedCaseError
 from .foundations import (
     INF,
     Characteristic,
@@ -33,6 +33,7 @@ from .group import (
     Qd1Group,
     _build,
     _rational_residue,
+    _same_group,
     add,
     canonical_elem_str,
     char_of,
@@ -176,8 +177,7 @@ def plus_cyclic(d: SubgroupDescriptor, g: GroupElement) -> SubgroupDescriptor:
     """The descriptor of d plus all integer multiples of g."""
     if d.kind is not DescriptorKind.TORSION:
         raise UnsupportedCaseError("plus_cyclic extends a torsion descriptor")
-    if d.group != g.group:
-        raise GroupMismatchError("generator belongs to a different group")
+    _same_group(d.group, g)
     if is_torsion(g):  # Z*g is the torsion at g's heights, so the floors meet
         return torsion_inv(d.group, meet(d.eta, char_of(g)))
     return SubgroupDescriptor(d.group, DescriptorKind.SUM, d.eta, _canonical_generator(d.eta, g))
@@ -209,11 +209,6 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
 # membership
 
 
-def _same_group_dx(d: SubgroupDescriptor, x: GroupElement) -> None:
-    if d.group != x.group:
-        raise GroupMismatchError("element belongs to a different group")
-
-
 def _dominates(x: GroupElement, eta: Characteristic) -> bool:
     """Whether char_of(x) >= eta, comparing heights only at the primes eta can name."""
     chi = x.group.cochar
@@ -234,21 +229,19 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
     exception primes of eta and of the cocharacteristic and at the overrides
     of x.  A non-torsion x in a group with nonzero cocharacteristic default
     lies in neither when the eta default is nonzero.  A ``SUM`` reduces to its
-    torsion part.
+    torsion part once the right multiple of the generator is subtracted.
     """
-    _same_group_dx(d, x)
+    _same_group(d._group, x)
     if d.kind is DescriptorKind.FULL:
         return _dominates(x, d.eta)
-    if d.kind is DescriptorKind.TORSION:
-        return is_torsion(x) and _dominates(x, d.eta)
-    g = d.generator
-    torsion_part = SubgroupDescriptor(d.group, DescriptorKind.TORSION, d.eta)
-    if is_torsion(x):  # g is non-torsion, so only its zero multiple is torsion
-        return contains(torsion_part, x)
-    ratio = x.rational / g.rational
-    if ratio.denominator != 1:
-        return False
-    return contains(torsion_part, add(x, zmul(-int(ratio), g)))
+    if d.kind is DescriptorKind.SUM and not is_torsion(x):
+        # g is non-torsion: x - k*g is torsion only for k = x.rational / g.rational
+        g = d.generator
+        ratio = x.rational / g.rational
+        if ratio.denominator != 1:
+            return False
+        x = add(x, zmul(-int(ratio), g))
+    return is_torsion(x) and _dominates(x, d.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +266,7 @@ def _eta_index(eta: Characteristic) -> int:
 
 def equals(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
     """Exact set equality of two descriptors over the same group."""
-    if d1.group != d2.group:
-        raise GroupMismatchError("descriptors belong to different groups")
+    _same_group(d1._group, d2)
     if d1.kind is d2.kind:
         if d1.kind is DescriptorKind.SUM:
             return d1.eta == d2.eta and d1.generator == d2.generator

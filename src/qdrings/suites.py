@@ -24,7 +24,6 @@ from .oracle import (
     _torsion_slots,
 )
 from .ring import (
-    element_of_mult,
     is_ai_ring,
     is_fi_ring,
     is_nai,
@@ -37,7 +36,7 @@ from .ring import (
 )
 from .subgroup import contains, equals, full_inv, torsion_inv
 
-__all__ = ["SUITE_NAMES", "run_suite", "suite_lines", "suite_summary"]
+__all__ = ["SUITE_NAMES", "run_suite", "suite_summary"]
 
 
 def _absorb(target: CheckReport, instance: int, sub: CheckReport) -> None:
@@ -230,7 +229,7 @@ def suite_mult_iso(cfg: TrialConfig) -> list[CheckReport]:
         G = random_group(rng, cfg)
         m = random_element(G, rng, cfg, torsion=rng.random() < 0.4)
         round_trip.trials += 1
-        if element_of_mult(make_mult(G, m)) != m:
+        if make_mult(G, m).m_elt != m:
             round_trip.record(i, f"instance {i}: defining element does not round-trip")
         m2 = random_element(G, rng, cfg, torsion=rng.random() < 0.4)
         g = random_element(G, rng, cfg)
@@ -271,10 +270,6 @@ def run_suite(name: str, cfg: TrialConfig) -> list[CheckReport]:
     except KeyError:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITE_NAMES)}") from None
     return fn(cfg)
-
-
-def suite_lines(reports: list[CheckReport]) -> list[str]:
-    return [r.line() for r in reports]
 
 
 def suite_summary(name: str, cfg: TrialConfig, reports: list[CheckReport]) -> dict:

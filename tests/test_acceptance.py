@@ -125,7 +125,7 @@ def test_criterion_10_mutation_sensitivity():
     sound = principal_ideal(unital, g)
 
     detections = {
-        "lowered-eta": not ideal_two_way_check(unital, g, lowered_eta(sound, p=2), cfg).passed,
+        "lowered-eta": not ideal_two_way_check(unital, g, lowered_eta(sound), cfg).passed,
         "dropped-m-factor": not ring_axiom_check(unital, cfg, product=product_dropping_m).passed,
         "skipped-witness-verification": not ideal_two_way_check(
             unital, g, sound, cfg, certifier=certifier_skipping_verification

@@ -1,17 +1,21 @@
 """Tests for the command-line front end: outputs, exit codes, grammar round trips."""
 
+import importlib
 import json
+import pkgutil
 import random
 
 import pytest
 
-from qdrings import foundations
-from qdrings.cli import parse_char, parse_elem, run
+import qdrings
+from qdrings import cli, errors, foundations
+from qdrings.cli import run
 from qdrings.errors import ParseError
 from qdrings.foundations import INF, Characteristic
 from qdrings.group import Qd1Group, add, build_group, zmul
 from qdrings.oracle import TrialConfig, random_characteristic, random_element
-from qdrings.ring import make_mult, multiply
+from qdrings.ring import make_mult, multiply, principal_ideal
+from qdrings.subgroup import contains
 
 CHI_A = "default=0;2:2,3:inf"
 
@@ -96,10 +100,10 @@ def test_ring_witness_with_a_product_of_two_large_primes(capsys, deadline, defau
         code, out, _ = run_cli(capsys, "ring", "witness", *argv)
     assert code == 0
     y_text, k_text = out.strip().removeprefix("y=").rsplit(";k=", 1)
-    G = build_group(parse_char(f"default={default}"))
-    mult = make_mult(G, parse_elem("r=1", G))
-    g = parse_elem("r=1", G)
-    assert add(multiply(mult, g, parse_elem(y_text, G)), zmul(int(k_text), g)) == parse_elem(b_text, G)
+    G = build_group(Characteristic.parse(f"default={default}"))
+    mult = make_mult(G, G.parse_elem("r=1"))
+    g = G.parse_elem("r=1")
+    assert add(multiply(mult, g, G.parse_elem(y_text)), zmul(int(k_text), g)) == G.parse_elem(b_text)
 
 
 N_TWO_LARGE = (10**21 + 117) * (10**21 + 193)
@@ -127,6 +131,47 @@ def test_ring_witness_non_absolute(capsys):
     assert code == 0 and out.strip() == "e0=r=1;2:0;p=2;x=r=1/2;2:0"
     code, out, _ = run_cli(capsys, "ring", "witness", "--cochar", CHI_A, "--m", "r=1")
     assert code == 1 and out.strip().startswith("ring-is-AI")
+
+
+def _ring(cochar, m, *elems):
+    G = build_group(Characteristic.parse(cochar))
+    return make_mult(G, G.parse_elem(m)), *(G.parse_elem(t) for t in elems)
+
+
+def _witness_recomputes(out, cochar, m, g_text, b_text):
+    """Whether the printed `y=<elem>;k=<int>` satisfies g*y + k*g = b."""
+    mult, g, b = _ring(cochar, m, g_text, b_text)
+    y_text, k_text = out.strip().removeprefix("y=").rsplit(";k=", 1)
+    return add(multiply(mult, g, mult.group.parse_elem(y_text)), zmul(int(k_text), g)) == b
+
+
+def test_ring_witness_with_a_large_defining_element_in_an_inf_group(capsys, deadline):
+    # c_of(m) divides the exceptions out of the numerator of m instead of factoring it
+    argv = ["--cochar", "default=inf", "--m", f"r={N_TWO_LARGE}", "--g", "r=1", "--b", f"r={N_TWO_LARGE}"]
+    with deadline(1.0):
+        code, out, _ = run_cli(capsys, "ring", "witness", *argv)
+    assert code == 0 and out.strip() == f"y=r=0;k={N_TWO_LARGE}"
+    assert _witness_recomputes(out, "default=inf", f"r={N_TWO_LARGE}", "r=1", f"r={N_TWO_LARGE}")
+
+
+@pytest.mark.parametrize(
+    "m, g, b, member",
+    [
+        ("r=0;2:1", "r=2", "r=0;2:2", True),
+        ("r=0;2:1", "r=0;2:1", "r=0;2:3", True),
+        ("r=0;2:1", "r=2", "r=4;2:1", False),
+        ("r=1", "r=0;2:2", "r=0;2:1", False),
+    ],
+    ids=["torsion-m", "torsion-g-and-m", "torsion-m-outside", "torsion-g-outside"],
+)
+def test_ring_witness_with_a_torsion_generator_or_basis_square(capsys, m, g, b, member):
+    code, out, _ = run_cli(capsys, "ring", "witness", "--cochar", CHI_A, "--m", m, "--g", g, "--b", b)
+    if member:
+        assert code == 0 and _witness_recomputes(out, CHI_A, m, g, b)
+    else:
+        assert code == 1 and out.strip() == "not-a-member"
+        mult, g_elt, b_elt = _ring(CHI_A, m, g, b)
+        assert not contains(principal_ideal(mult, g_elt), b_elt)
 
 
 def test_ring_witness_flag_pairing(capsys):
@@ -237,6 +282,40 @@ def test_exponents_above_the_cap_are_rejected_before_a_group_is_built(capsys, mo
     assert code == 2 and "position 8" in err
 
 
+# -- error surface and exports ------------------------------------------------------
+
+
+ERROR_CLASSES = [
+    c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__
+]
+
+
+def test_every_library_error_is_a_value_error():
+    assert ERROR_CLASSES and all(issubclass(c, ValueError) for c in ERROR_CLASSES)
+
+
+@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+def test_every_library_error_exits_two(capsys, monkeypatch, cls):
+    def fail(args):
+        raise ParseError("default", 7, "'='") if cls is ParseError else cls("synthetic")
+
+    monkeypatch.setitem(cli._HANDLERS, ("group", "describe"), fail)
+    code, out, err = run_cli(capsys, "group", "describe", "--cochar", "default=0")
+    assert code == 2 and out == ""
+    if cls is ParseError:
+        assert err == "parse error at position 7: expected '=' in 'default'\n"
+    else:
+        assert err == "error: synthetic\n"
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(qdrings.__path__) if m.name != "__main__")
+)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"qdrings.{name}")
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
 def test_unknown_command_exits_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "ring", "mul", "--cochar", CHI_A)[0] == 2  # missing flags
@@ -250,13 +329,13 @@ def test_parse_print_round_trip_sweep():
     cfg = TrialConfig(seed=2026)
     for _ in range(1000):
         chi = random_characteristic(rng, cfg)
-        assert parse_char(chi.canonical_str()) == chi
+        assert Characteristic.parse(chi.canonical_str()) == chi
         G = build_group(chi)
         g = random_element(G, rng, cfg, torsion=rng.random() < 0.3)
-        assert parse_elem(str(g), G) == g
+        assert G.parse_elem(str(g)) == g
 
 
 def test_parse_char_matches_foundations_grammar():
-    assert parse_char("default=inf") == Characteristic(INF)
+    assert Characteristic.parse("default=inf") == Characteristic(INF)
     with pytest.raises(ParseError):
-        parse_char("default")
+        Characteristic.parse("default")

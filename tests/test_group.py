@@ -286,6 +286,34 @@ def test_c_of_examples():
     assert c_of(e) == 1
 
 
+def test_c_of_matches_its_definition_on_random_elements():
+    # the definition: p**height(g, p) over the primes of the numerator with cochar value inf
+    rng = random.Random(36)
+    for i in range(600):
+        G = random_group(rng, CFG, force_default=[0, 1, INF][i % 3])
+        g = zmul(rng.randint(1, 400), random_element(G, rng, CFG))
+        expected = 1
+        for p, e in factorization(g.rational.numerator).items():
+            if G.cochar.value(p) == INF:
+                expected *= p**e
+        assert c_of(g) == expected
+
+
+def test_c_of_and_decompose_never_factor_in_an_inf_default_group(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"factorization({n}) called")
+
+    monkeypatch.setattr("qdrings.group.factorization", refuse)
+    p, q = 10**21 + 117, 10**21 + 193
+    G = build_group(Characteristic.parse("default=inf;2:3,3:0"))
+    g = G.elem(12 * p * q)
+    h = G.elem(Fraction(p * q, 3), {2: 1})
+    assert (c_of(g), c_of(h)) == (p * q, p * q)
+    for x in (g, h):
+        d = decompose(x)
+        assert d.scale == p * q and set(d.support) == {2} and d.recombine() == x
+
+
 # -- decomposition -----------------------------------------------------------
 
 

@@ -127,7 +127,7 @@ def test_report_lines_have_the_documented_shape():
     bad = ideal_two_way_check(
         make_mult(GA, E),
         zmul(2, E),
-        lowered_eta(principal_ideal(make_mult(GA, E), zmul(2, E)), p=2),
+        lowered_eta(principal_ideal(make_mult(GA, E), zmul(2, E))),
         CFG,
     )
     assert not bad.passed
@@ -196,7 +196,7 @@ def test_principal_ideals_of_torsion_generators_match_enumeration():
 def test_lowered_floor_is_detected_by_the_backward_direction():
     mult = make_mult(GA, E)
     g = zmul(2, E)
-    corrupted = lowered_eta(principal_ideal(mult, g), p=2)
+    corrupted = lowered_eta(principal_ideal(mult, g))
     assert contains(corrupted, E)  # the corrupted descriptor wrongly admits the basis
     report = ideal_two_way_check(mult, g, corrupted, CFG)
     assert not report.passed
