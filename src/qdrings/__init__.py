@@ -4,6 +4,7 @@ from .errors import (
     FactorizationBudgetError,
     GroupMismatchError,
     InvalidDenominatorError,
+    InvariantError,
     NotAMemberError,
     ParseError,
     RingIsAIError,

@@ -3,7 +3,8 @@
 Exit codes follow a shell-friendly contract: 0 for success and true verdicts,
 1 for mathematical negatives (a ring classified as not AI, a membership that
 fails, a suite reporting FAIL), 2 for usage and parse errors, bounds beyond a
-documented cap, and integers Brent's method cannot split within its step budget.
+documented cap, and integers Brent's method cannot split within its step budget,
+3 for an internal error: an answer that failed its own recomputation check.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import argparse
 import json
 import sys
 
-from .errors import ParseError, RingIsAIError
+from .errors import InvariantError, ParseError, RingIsAIError
 from .foundations import MAX_EXPONENT, Characteristic
 from .group import build_group, c_of, char_of, is_torsion, order
 from .oracle import MAX_PRIME_BOUND, TrialConfig
@@ -34,6 +35,7 @@ __all__ = ["main", "run"]
 OK = 0
 NEGATIVE = 1
 USAGE = 2
+INTERNAL = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -205,9 +207,12 @@ def run(argv) -> int:
     except ParseError as exc:
         print(str(exc), file=sys.stderr)
         return USAGE
-    except ValueError as exc:  # every error in qdrings.errors is a ValueError
+    except ValueError as exc:  # every error in qdrings.errors but InvariantError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL
 
 
 def main() -> None:

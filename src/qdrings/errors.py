@@ -35,3 +35,7 @@ class RingIsAIError(ValueError):
 
 class FactorizationBudgetError(ValueError):
     """Brent's method used up its fixed step budget before the integer split."""
+
+
+class InvariantError(ArithmeticError):
+    """A recomputation check failed: the library broke one of its own invariants."""

@@ -4,7 +4,9 @@ A characteristic assigns to every prime a value in N ∪ {inf}.  Only
 eventually constant characteristics are representable here: a cofinite
 default plus finitely many exceptional primes.  That shape covers every
 profile the library produces (cocharacteristics of groups, height profiles
-of elements) and keeps all derived data finite.
+of elements) and keeps all derived data finite.  The value inf is
+`math.inf`, which sorts above every int and absorbs addition; every finite
+value is an `int`, and `Characteristic` admits nothing else.
 """
 
 from __future__ import annotations
@@ -37,62 +39,12 @@ __all__ = [
 ]
 
 
-class _Infinity:
-    """Singleton infinite value of the extended naturals; larger than every int."""
-
-    _instance = None
-    __slots__ = ()
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, _Infinity)
-
-    def __hash__(self) -> int:
-        return hash("extended-natural-infinity")
-
-    def __lt__(self, other) -> bool:
-        self._check(other)
-        return False
-
-    def __le__(self, other) -> bool:
-        self._check(other)
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other) -> bool:
-        self._check(other)
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other) -> bool:
-        self._check(other)
-        return True
-
-    def __add__(self, other):
-        self._check(other)
-        return self
-
-    __radd__ = __add__
-
-    @staticmethod
-    def _check(other) -> None:
-        if not isinstance(other, (int, _Infinity)):
-            raise TypeError(f"cannot compare extended natural with {type(other).__name__}")
-
-
-INF = _Infinity()
-ExtNat = Union[int, _Infinity]
+INF = math.inf
+ExtNat = Union[int, float]
 
 
 def _check_extnat(value, what: str) -> None:
-    if isinstance(value, _Infinity):
-        return
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if value != INF and (isinstance(value, bool) or not isinstance(value, int) or value < 0):
         raise ValueError(f"{what} must be a nonnegative integer or INF, got {value!r}")
 
 
@@ -353,10 +305,6 @@ def factorization(n: int) -> dict[int, int]:
 MAX_EXPONENT = 1000
 
 
-def _fmt_value(v: ExtNat) -> str:
-    return "inf" if isinstance(v, _Infinity) else str(v)
-
-
 class Characteristic:
     """Eventually constant map from primes to N ∪ {inf}.
 
@@ -408,10 +356,10 @@ class Characteristic:
         return char_geq(other, self)
 
     def canonical_str(self) -> str:
-        head = f"default={_fmt_value(self._default)}"
+        head = f"default={self._default}"
         if not self._exceptions:
             return head
-        body = ",".join(f"{p}:{_fmt_value(v)}" for p, v in self._exceptions.items())
+        body = ",".join(f"{p}:{v}" for p, v in self._exceptions.items())
         return f"{head};{body}"
 
     __str__ = canonical_str
@@ -449,19 +397,19 @@ def equivalent(c1: Characteristic, c2: Characteristic) -> bool:
         return False
     for p in set(c1.exception_primes) | set(c2.exception_primes):
         v1, v2 = c1.value(p), c2.value(p)
-        if v1 != v2 and (isinstance(v1, _Infinity) or isinstance(v2, _Infinity)):
+        if v1 != v2 and INF in (v1, v2):
             return False
     return True
 
 
 def is_zero_type(c: Characteristic) -> bool:
     """Whether c is equivalent to the all-zero characteristic."""
-    return c.default == 0 and all(not isinstance(v, _Infinity) for _, v in c.exception_items())
+    return c.default == 0 and all(v != INF for _, v in c.exception_items())
 
 
 def is_idempotent_type(c: Characteristic) -> bool:
     """Whether c is equivalent to a characteristic taking only the values 0 and inf."""
-    return c.default == 0 or isinstance(c.default, _Infinity)
+    return c.default in (0, INF)
 
 
 def char_geq(a: Characteristic, b: Characteristic) -> bool:

@@ -28,7 +28,6 @@ from .foundations import (
     _TRIAL_PRIMES,
     Characteristic,
     ExtNat,
-    _Infinity,
     _expect,
     _scan_int,
     _scan_uint,
@@ -339,7 +338,7 @@ def height(g: GroupElement, p: int) -> ExtNat:
     k = g.group.cochar.value(p)
     if k == 0:
         return INF
-    if isinstance(k, _Infinity):
+    if k == INF:
         r = g.rational
         return INF if r == 0 else vp(r, p)
     a = coordinate_residue(g, p)
@@ -389,18 +388,18 @@ def c_of(g: GroupElement) -> int:
         return 0
     chi = g.group.cochar
     r = g.rational
-    if isinstance(chi.default, _Infinity):
+    if chi.default == INF:
         # every prime but the finite-value exceptions is divisible, so dividing those
         # out of |num r| leaves c without factoring
         result = abs(r.numerator)
         for p, v in chi.exception_items():
-            if not isinstance(v, _Infinity):
+            if v != INF:
                 while result % p == 0:
                     result //= p
         return result
     result = 1
     for p, v in chi.exception_items():
-        if isinstance(v, _Infinity):
+        if v == INF:
             result *= p ** max(0, vp(r, p))
     return result
 

@@ -10,7 +10,7 @@ the sensitivity test asserts exactly that.
 
 from __future__ import annotations
 
-from .foundations import Characteristic, _Infinity
+from .foundations import INF, Characteristic
 from .group import GroupElement
 from .ring import Multiplication, PrincipalWitness, certify_member, multiply
 from .subgroup import DescriptorKind, SubgroupDescriptor, full_inv, plus_cyclic, torsion_inv
@@ -23,7 +23,7 @@ def lowered_eta(d: SubgroupDescriptor) -> SubgroupDescriptor:
     p = 2
     v = d.eta.value(p)
     chi_p = d.group.cochar.value(p)
-    if isinstance(v, _Infinity):
+    if v == INF:
         new = chi_p - 1 if isinstance(chi_p, int) and chi_p > 0 else 0
     else:
         new = max(0, v - 1)

@@ -14,12 +14,12 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import InvalidDenominatorError
+from .errors import InvalidDenominatorError, InvariantError
 from .foundations import (
     INF,
     MAX_EXPONENT,
     Characteristic,
-    _Infinity,
+    ExtNat,
     is_zero_type,
     mod_inverse,
     primes_up_to,
@@ -163,7 +163,7 @@ def exact_divide(g: GroupElement, p: int) -> GroupElement | None:
     except InvalidDenominatorError:
         return None
     if zmul(p, y) != g:
-        raise ArithmeticError("division candidate failed recomputation")
+        raise InvariantError("division candidate failed recomputation")
     return y
 
 
@@ -182,9 +182,9 @@ def height_oracle(g: GroupElement, p: int, bound: int) -> int:
     return k
 
 
-def heights_agree(closed: int | _Infinity, oracle_value: int, bound: int) -> bool:
+def heights_agree(closed: ExtNat, oracle_value: int, bound: int) -> bool:
     """Agreement of an exact height with a bound-capped oracle measurement."""
-    if isinstance(closed, _Infinity) or closed >= bound:
+    if closed >= bound:
         return oracle_value == bound
     return closed == oracle_value
 
@@ -253,7 +253,7 @@ def random_element(
             den *= p
     num = rng.choice(_NONZERO_NUMERATORS)
     for p in cfg.primes:
-        if isinstance(chi.value(p), _Infinity) and rng.random() < 0.3:
+        if chi.value(p) == INF and rng.random() < 0.3:
             num *= p ** rng.randint(1, cfg.max_exp)
     return G.elem(Fraction(num, den), ov)
 
@@ -282,7 +282,7 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
     else:
         x = _full_member(d.group, d.eta, rng, cfg)
     if not contains(d, x):
-        raise ArithmeticError(f"member generator left {descriptor_str(d)}: {x}")
+        raise InvariantError(f"member generator left {descriptor_str(d)}: {x}")
     return x
 
 
@@ -308,11 +308,11 @@ def _full_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
     relevant = sorted(set(cfg.primes) | set(chi.exception_primes) | set(eta.exception_primes))
     for p in relevant:
         k, v = chi.value(p), eta.value(p)
-        if isinstance(k, _Infinity):
+        if k == INF:
             if isinstance(v, int) and v > 0:
                 rho *= p ** (v + rng.choice([0, 0, 1]))
         elif k > 0:
-            if isinstance(v, _Infinity):
+            if v == INF:
                 forced[p] = 0
             elif v > 0:
                 forced[p] = p**v * rng.randrange(p ** (k - v)) % p**k

@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotAMemberError, RingIsAIError, UnsupportedCaseError
+from .errors import InvariantError, NotAMemberError, RingIsAIError, UnsupportedCaseError
 from .foundations import (
     INF,
     Characteristic,
-    _Infinity,
     bezout,
     crt,
     iter_primes,
@@ -212,7 +211,7 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
         congruences.append((c * mod_inverse(unit, modulus) % modulus, modulus))
     n, _ = crt(congruences)
     if zmul(n, g) != u:
-        raise ArithmeticError("torsion witness failed recomputation")
+        raise InvariantError("torsion witness failed recomputation")
     return n
 
 
@@ -254,7 +253,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     k1, k2 = combined.numerator, combined.denominator
     x0, y0, gcd = bezout(scale_m, n * r_frac.numerator * k2)
     if gcd != 1:
-        raise ArithmeticError("support primes leaked into the Bezout step")
+        raise InvariantError("support primes leaked into the Bezout step")
     x, y = x0 * k1, y0 * k1
     z = Fraction(
         r_frac.denominator * m_frac.denominator * x,
@@ -263,7 +262,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     y_elt = G.elem(z, {p: 0 for p in support})
     k = n * y * r_frac.denominator + w
     if add(multiply(mult, g, y_elt), zmul(k, g)) != b:
-        raise ArithmeticError("principal witness failed recomputation")
+        raise InvariantError("principal witness failed recomputation")
     return PrincipalWitness(y_elt, k)
 
 
@@ -308,19 +307,19 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
             return None
         y = zmul(n, G.basis_element())
     if add(multiply(mult, g, y), zmul(k, g)) != b:
-        raise ArithmeticError("membership witness failed recomputation")
+        raise InvariantError("membership witness failed recomputation")
     return PrincipalWitness(y, k)
 
 
 def _smallest_finite_cochar_prime(G: Qd1Group) -> int:
     chi = G.cochar
-    if isinstance(chi.default, _Infinity):
+    if chi.default == INF:
         finite = [p for p, v in chi.exception_items() if isinstance(v, int)]
         if not finite:
             raise RingIsAIError("the cocharacteristic is everywhere infinite")
         return min(finite)
     for p in iter_primes():
-        if not isinstance(chi.value(p), _Infinity):
+        if chi.value(p) != INF:
             return p
     raise AssertionError("unreachable")
 
@@ -353,9 +352,9 @@ def non_absolute_ideal_witness(mult: Multiplication) -> NonAbsoluteWitness:
 
     cyclic = plus_cyclic(torsion_inv(G, Characteristic(INF)), e0)
     if not equals(principal_ideal(mult, e0), cyclic):
-        raise ArithmeticError("witness ideal is not the cyclic group of e0")
+        raise InvariantError("witness ideal is not the cyclic group of e0")
     if not contains(full_inv(G, char_of(e0)), violator):
-        raise ArithmeticError("violator left the absolute ideal of e0")
+        raise InvariantError("violator left the absolute ideal of e0")
     if contains(cyclic, violator):
-        raise ArithmeticError("violator is a multiple of e0")
+        raise InvariantError("violator is a multiple of e0")
     return NonAbsoluteWitness(e0, p, violator)

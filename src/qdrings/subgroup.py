@@ -25,7 +25,6 @@ from .foundations import (
     INF,
     Characteristic,
     _expect,
-    _Infinity,
     meet,
 )
 from .group import (
@@ -148,13 +147,10 @@ def _normalize_full_eta(G: Qd1Group, eta: Characteristic) -> tuple[Characteristi
 
     # A nontorsion element has height 0 at all but finitely many primes of
     # nonzero cocharacteristic, and finite height at every divisible prime.
-    def ge1(v):
-        return isinstance(v, _Infinity) or v >= 1
-
-    collapsed = chi.default != 0 and ge1(norm.default)
+    collapsed = chi.default != 0 and norm.default >= 1
     if not collapsed:
         for p in set(chi.exception_primes) | set(norm.exception_primes):
-            if isinstance(chi.value(p), _Infinity) and isinstance(norm.value(p), _Infinity):
+            if chi.value(p) == INF and norm.value(p) == INF:
                 collapsed = True
                 break
     return norm, collapsed
@@ -190,7 +186,7 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
     ov = g.overrides
     for p in list(ov):
         v = eta.value(p)
-        if isinstance(v, _Infinity):
+        if v == INF:
             continue
         reduced = ov[p] % p**v
         # prefer the coordinate implied by the rational when the two agree

@@ -288,13 +288,15 @@ def test_exponents_above_the_cap_are_rejected_before_a_group_is_built(capsys, mo
 ERROR_CLASSES = [
     c for c in vars(errors).values() if isinstance(c, type) and c.__module__ == errors.__name__
 ]
+USAGE_ERRORS = [c for c in ERROR_CLASSES if issubclass(c, ValueError)]
 
 
 def test_every_library_error_is_a_value_error():
-    assert ERROR_CLASSES and all(issubclass(c, ValueError) for c in ERROR_CLASSES)
+    # the one exception is the broken-invariant error, which is not the caller's fault
+    assert USAGE_ERRORS and set(ERROR_CLASSES) - set(USAGE_ERRORS) == {errors.InvariantError}
 
 
-@pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", USAGE_ERRORS, ids=lambda c: c.__name__)
 def test_every_library_error_exits_two(capsys, monkeypatch, cls):
     def fail(args):
         raise ParseError("default", 7, "'='") if cls is ParseError else cls("synthetic")
@@ -306,6 +308,18 @@ def test_every_library_error_exits_two(capsys, monkeypatch, cls):
         assert err == "parse error at position 7: expected '=' in 'default'\n"
     else:
         assert err == "error: synthetic\n"
+
+
+def test_a_broken_invariant_exits_three(capsys, monkeypatch):
+    def fail(args):
+        raise errors.InvariantError("membership witness failed recomputation")
+
+    monkeypatch.setitem(cli._HANDLERS, ("ring", "witness"), fail)
+    code, out, err = run_cli(
+        capsys, "ring", "witness", "--cochar", "default=0", "--m", "r=1", "--g", "r=2", "--b", "r=2"
+    )
+    assert (code, out, err) == (3, "", "internal error: membership witness failed recomputation\n")
+    assert issubclass(errors.InvariantError, ArithmeticError)  # the suites record it as a FAIL
 
 
 @pytest.mark.parametrize(

@@ -57,9 +57,13 @@ def test_infinity_ordering():
     assert INF == INF
 
 
-def test_infinity_rejects_foreign_types():
-    with pytest.raises(TypeError):
-        INF < 1.5  # noqa: B015
+def test_characteristic_admits_only_nonnegative_ints_and_inf():
+    # INF is math.inf, so the constructor is the gate that keeps other floats out
+    assert INF is math.inf
+    for default, exceptions in [(1.5, None), (0, {2: 2.0}), (float("nan"), None), (-INF, None), (True, None)]:
+        with pytest.raises(ValueError):
+            Characteristic(default, exceptions)
+    assert Characteristic(float("inf")) == Characteristic(INF)
 
 
 # -- primitives --------------------------------------------------------------
