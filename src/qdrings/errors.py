@@ -38,4 +38,12 @@ class FactorizationBudgetError(ValueError):
 
 
 class InvariantError(ArithmeticError):
-    """A recomputation check failed: the library broke one of its own invariants."""
+    """A recomputation check failed: the library broke one of its own invariants.
+
+    The message ends with the canonical inputs as ``name=value`` pairs, named after the
+    command-line flags (``cochar``, ``m``, ``g``, ``b``) so that the call can be replayed.
+    """
+
+    def __init__(self, message: str, **inputs):
+        self.inputs = {name: str(value) for name, value in inputs.items()}
+        super().__init__(" ".join([message, *(f"{n}={v}" for n, v in self.inputs.items())]))

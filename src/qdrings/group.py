@@ -6,9 +6,11 @@ one coordinate per prime; an element is stored as a rational coefficient of
 the basis plus finitely many torsion-coordinate overrides at primes whose
 cocharacteristic value is finite and positive.  For the zero type the group
 is Q (+) Z_m and the same storage is used with every torsion coordinate kept
-explicit, so one arithmetic core serves both kinds.  The slot modulus
-p**cochar(p) of each torsion coordinate is memoised per group and computed on
-first use.
+explicit, so one arithmetic core serves both kinds.  Only ``Qd1Group._slot(p)``
+decides whether a prime carries a torsion coordinate: it is the memoised modulus
+p**cochar(p) when that value is finite and positive, and 0, meaning no finite
+torsion coordinate, when it is 0 or inf.  A nonreduced group fills the memo when
+it is built.
 """
 
 from __future__ import annotations
@@ -64,12 +66,11 @@ class Qd1Group:
 
     def __init__(self, cochar: Characteristic):
         self._cochar = cochar
-        # filled lazily: a finite positive default gives a slot at every prime
+        # keyed by prime only; a finite positive default gives a slot at every prime
         self._slots: dict[int, int] = {}
         if is_zero_type(cochar):
-            keys = tuple(p for p, v in cochar.exception_items() if isinstance(v, int) and v > 0)
-            self._torsion_keys = keys
-            self._modulus = math.prod(p ** cochar.value(p) for p in keys)
+            self._torsion_keys = tuple(p for p in cochar.exception_primes if self._slot(p))
+            self._modulus = math.prod(self._slot(p) for p in self._torsion_keys)
         else:
             self._torsion_keys = None
             self._modulus = None
@@ -88,10 +89,11 @@ class Qd1Group:
         return self._modulus
 
     def _slot(self, p: int) -> int:
-        """The modulus p**cochar(p) of the torsion coordinate at p (finite positive value)."""
+        """Memoised modulus p**cochar(p) at the prime p; 0 means no finite torsion coordinate."""
         q = self._slots.get(p)
         if q is None:
-            q = self._slots[p] = p ** self._cochar.value(p)
+            k = self._cochar.value(p)
+            q = self._slots[p] = p**k if 0 < k < INF else 0
         return q
 
     def __eq__(self, other) -> bool:
@@ -125,12 +127,13 @@ class Qd1Group:
         for p, a in (overrides or {}).items():
             if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
                 raise ValueError(f"override key {p!r} is not prime")
-            k = self._cochar.value(p)
-            if not isinstance(k, int) or k == 0:
+            q = self._slot(p)
+            if not q:
+                k = self._cochar.value(p)
                 raise ValueError(f"prime {p} has cocharacteristic {k}; no finite torsion coordinate there")
             if isinstance(a, bool) or not isinstance(a, int):
                 raise ValueError(f"override at {p} must be an integer, got {a!r}")
-            ov[p] = a % self._slot(p)
+            ov[p] = a % q
         return _build(self, Fraction(rational), ov)
 
     def elem_qb(self, q, b: int = 0) -> "GroupElement":
@@ -295,10 +298,13 @@ def _same_group(G: Qd1Group, *values) -> None:
 
 def coordinate_residue(g: GroupElement, p: int) -> int:
     """The torsion coordinate of g at a prime with finite positive cocharacteristic value."""
-    k = g.group.cochar.value(p)
-    if not isinstance(k, int) or k == 0:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    q = g.group._slot(p)
+    if not q:
+        k = g.group.cochar.value(p)
         raise ValueError(f"prime {p} carries no finite torsion coordinate (cocharacteristic {k})")
-    return _residue(g, p, g.group._slot(p))
+    return _residue(g, p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +347,7 @@ def height(g: GroupElement, p: int) -> ExtNat:
     if k == INF:
         r = g.rational
         return INF if r == 0 else vp(r, p)
-    a = coordinate_residue(g, p)
+    a = _residue(g, p, g.group._slot(p))
     return INF if a == 0 else vp(a, p)
 
 
@@ -371,9 +377,8 @@ def order(g: GroupElement) -> ExtNat:
         return INF
     n = 1
     for p, a in g._overrides.items():
-        if a == 0:
-            continue
-        n = math.lcm(n, p ** (g.group.cochar.value(p) - vp(a, p)))
+        q = g.group._slot(p)
+        n = math.lcm(n, q // math.gcd(a, q))
     return n
 
 
@@ -405,17 +410,9 @@ def c_of(g: GroupElement) -> int:
 
 
 def _finite_positive_chi_divisors(G: Qd1Group, n: int) -> set[int]:
-    """Primes p dividing n with 0 < cochar(p) < inf."""
-    if n == 0:
-        return set()
-    chi = G.cochar
-    if isinstance(chi.default, int) and chi.default > 0:
-        return {p for p in factorization(n) if isinstance(chi.value(p), int) and chi.value(p) > 0}
-    return {
-        p
-        for p, v in chi.exception_items()
-        if isinstance(v, int) and v > 0 and n % p == 0
-    }
+    """Primes p dividing the nonzero n with a torsion slot, 0 < cochar(p) < inf."""
+    primes = factorization(n) if 0 < G.cochar.default < INF else G.cochar.exception_primes
+    return {p for p in primes if n % p == 0 and G._slot(p)}
 
 
 class Decomposition:
@@ -509,16 +506,16 @@ def _parse_element(G: Qd1Group, text: str) -> GroupElement:
             while True:
                 key_pos = pos
                 p, pos = _scan_uint(text, key_pos)
-                k = chi.value(p) if is_prime(p) else 0
-                if not is_prime(p) or not isinstance(k, int) or k == 0:
+                q = G._slot(p) if is_prime(p) else 0
+                if not q:
                     raise ParseError(text, key_pos, "a prime with a finite torsion coordinate")
                 if p in ov:
                     raise ParseError(text, key_pos, "a prime not listed before")
                 pos = _expect(text, pos, ":")
                 res_pos = pos
                 a, pos = _scan_uint(text, res_pos)
-                if a >= p**k:
-                    raise ParseError(text, res_pos, f"a residue below {p}**{k}")
+                if a >= q:
+                    raise ParseError(text, res_pos, f"a residue below {p}**{chi.value(p)}")
                 ov[p] = a
                 if pos == len(text):
                     break

@@ -24,7 +24,7 @@ def lowered_eta(d: SubgroupDescriptor) -> SubgroupDescriptor:
     v = d.eta.value(p)
     chi_p = d.group.cochar.value(p)
     if v == INF:
-        new = chi_p - 1 if isinstance(chi_p, int) and chi_p > 0 else 0
+        new = chi_p - 1 if 0 < chi_p < INF else 0
     else:
         new = max(0, v - 1)
     exceptions = dict(d.eta.exception_items())

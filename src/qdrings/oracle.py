@@ -20,6 +20,7 @@ from .foundations import (
     MAX_EXPONENT,
     Characteristic,
     ExtNat,
+    is_prime,
     is_zero_type,
     mod_inverse,
     primes_up_to,
@@ -27,10 +28,10 @@ from .foundations import (
 from .group import (
     GroupElement,
     Qd1Group,
+    _residue,
     add,
     build_group,
     canonical_elem_str,
-    coordinate_residue,
     zmul,
 )
 from .ring import Multiplication, certify_member, make_mult, multiply
@@ -141,15 +142,16 @@ def exact_divide(g: GroupElement, p: int) -> GroupElement | None:
     residue must shed one factor of p.  The candidate is revalidated and the
     product is recomputed before it is returned.
     """
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     G = g.group
-    chi = G.cochar
     keys = set(g.overrides)
-    if isinstance(chi.value(p), int) and chi.value(p) > 0:
+    if G._slot(p):
         keys.add(p)
     ov = {}
     for q in keys:
-        modulus = q ** chi.value(q)
-        a = coordinate_residue(g, q)
+        modulus = G._slot(q)
+        a = _residue(g, q, modulus)
         if q != p:
             ov[q] = a * mod_inverse(p % modulus, modulus) % modulus
         elif a == 0:
@@ -163,7 +165,7 @@ def exact_divide(g: GroupElement, p: int) -> GroupElement | None:
     except InvalidDenominatorError:
         return None
     if zmul(p, y) != g:
-        raise InvariantError("division candidate failed recomputation")
+        raise InvariantError("division candidate failed recomputation", cochar=G.cochar, g=g, p=p)
     return y
 
 
@@ -226,13 +228,7 @@ def random_group(
 
 
 def _torsion_slots(G: Qd1Group, cfg: TrialConfig) -> list[int]:
-    chi = G.cochar
-    out = []
-    for p in sorted(set(cfg.primes) | set(chi.exception_primes)):
-        v = chi.value(p)
-        if isinstance(v, int) and v > 0:
-            out.append(p)
-    return out
+    return [p for p in sorted(set(cfg.primes) | set(G.cochar.exception_primes)) if G._slot(p)]
 
 
 def random_element(
@@ -243,7 +239,7 @@ def random_element(
     den = 1
     for p in _torsion_slots(G, cfg):
         if rng.random() < 0.45:
-            ov[p] = rng.randrange(p ** chi.value(p))
+            ov[p] = rng.randrange(G._slot(p))
             if not torsion and rng.random() < 0.3:
                 den *= p
     if torsion:
@@ -282,7 +278,7 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
     else:
         x = _full_member(d.group, d.eta, rng, cfg)
     if not contains(d, x):
-        raise InvariantError(f"member generator left {descriptor_str(d)}: {x}")
+        raise InvariantError(f"member generator left {descriptor_str(d)}: {x}", cochar=d.group.cochar)
     return x
 
 
@@ -290,11 +286,11 @@ def _torsion_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
     chi = G.cochar
     ov = {}
     for p in sorted(set(cfg.primes) | set(chi.exception_primes) | set(eta.exception_primes)):
-        k, v = chi.value(p), eta.value(p)
-        if not isinstance(k, int) or k == 0 or not isinstance(v, int) or v >= k:
-            continue  # empty slot under the floor
+        v = eta.value(p)
+        if not v < chi.value(p) < INF:
+            continue  # no slot, or an empty one under the floor
         if rng.random() < 0.6:
-            ov[p] = p**v * rng.randrange(p ** (k - v)) % p**k
+            ov[p] = p**v * rng.randrange(G._slot(p) // p**v)
     return G.elem(0, ov)
 
 
@@ -309,15 +305,15 @@ def _full_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
     for p in relevant:
         k, v = chi.value(p), eta.value(p)
         if k == INF:
-            if isinstance(v, int) and v > 0:
+            if 0 < v < INF:
                 rho *= p ** (v + rng.choice([0, 0, 1]))
         elif k > 0:
             if v == INF:
                 forced[p] = 0
             elif v > 0:
-                forced[p] = p**v * rng.randrange(p ** (k - v)) % p**k
+                forced[p] = p**v * rng.randrange(G._slot(p) // p**v)
             elif rng.random() < 0.3:
-                forced[p] = rng.randrange(p**k)
+                forced[p] = rng.randrange(G._slot(p))
     den = 1
     for p in cfg.primes:
         k = chi.value(p)

@@ -11,6 +11,7 @@ fully invariant).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from .foundations import (
     crt,
     iter_primes,
     mod_inverse,
-    vp,
 )
 from .group import (
     GroupElement,
@@ -35,7 +35,6 @@ from .group import (
     add,
     c_of,
     char_of,
-    coordinate_residue,
     is_integers,
     is_torsion,
     order,
@@ -199,19 +198,16 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
         raise NotAMemberError(f"{u} is not an integer multiple of {g}")
     if u == G.zero():
         return int(order(g))
-    chi = G.cochar
     congruences = []
-    for p, a in g.overrides.items():
-        if a == 0:
-            continue
-        k = vp(a, p)
-        modulus = p ** (chi.value(p) - k)
-        unit = a // p**k
-        c = coordinate_residue(u, p) // p**k
-        congruences.append((c * mod_inverse(unit, modulus) % modulus, modulus))
+    for p, a in g._overrides.items():
+        q = G._slot(p)
+        d = math.gcd(a, q)  # the p-power part of a; q when a = 0, which leaves n free modulo 1
+        modulus = q // d
+        c = _residue(u, p, q) // d
+        congruences.append((c * mod_inverse(a // d, modulus) % modulus, modulus))
     n, _ = crt(congruences)
     if zmul(n, g) != u:
-        raise InvariantError("torsion witness failed recomputation")
+        raise InvariantError("torsion witness failed recomputation", cochar=G.cochar, g=g, u=u)
     return n
 
 
@@ -253,7 +249,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     k1, k2 = combined.numerator, combined.denominator
     x0, y0, gcd = bezout(scale_m, n * r_frac.numerator * k2)
     if gcd != 1:
-        raise InvariantError("support primes leaked into the Bezout step")
+        raise InvariantError("support primes leaked into the Bezout step", cochar=G.cochar, m=m, g=g, b=b)
     x, y = x0 * k1, y0 * k1
     z = Fraction(
         r_frac.denominator * m_frac.denominator * x,
@@ -262,7 +258,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     y_elt = G.elem(z, {p: 0 for p in support})
     k = n * y * r_frac.denominator + w
     if add(multiply(mult, g, y_elt), zmul(k, g)) != b:
-        raise InvariantError("principal witness failed recomputation")
+        raise InvariantError("principal witness failed recomputation", cochar=G.cochar, m=m, g=g, b=b)
     return PrincipalWitness(y_elt, k)
 
 
@@ -307,21 +303,16 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
             return None
         y = zmul(n, G.basis_element())
     if add(multiply(mult, g, y), zmul(k, g)) != b:
-        raise InvariantError("membership witness failed recomputation")
+        raise InvariantError("membership witness failed recomputation", cochar=G.cochar, m=mult.m_elt, g=g, b=b)
     return PrincipalWitness(y, k)
 
 
 def _smallest_finite_cochar_prime(G: Qd1Group) -> int:
+    # G is not the integers (that ring is AI), so some value is finite
     chi = G.cochar
     if chi.default == INF:
-        finite = [p for p, v in chi.exception_items() if isinstance(v, int)]
-        if not finite:
-            raise RingIsAIError("the cocharacteristic is everywhere infinite")
-        return min(finite)
-    for p in iter_primes():
-        if chi.value(p) != INF:
-            return p
-    raise AssertionError("unreachable")
+        return min(p for p, v in chi.exception_items() if v != INF)
+    return next(p for p in iter_primes() if chi.value(p) != INF)
 
 
 def non_absolute_ideal_witness(mult: Multiplication) -> NonAbsoluteWitness:
@@ -335,14 +326,13 @@ def non_absolute_ideal_witness(mult: Multiplication) -> NonAbsoluteWitness:
     if is_ai_ring(mult):
         raise RingIsAIError("every ideal of this ring is an absolute ideal")
     G = mult.group
-    chi = G.cochar
     m = mult.m_elt
     if G.is_reduced:
         part = {p for p, a in m.overrides.items() if a != 0}
         if not part:
             part = {_smallest_finite_cochar_prime(G)}
         p = min(part)
-        ov = {q: 0 for q in part if isinstance(chi.value(q), int) and chi.value(q) > 0}
+        ov = {q: 0 for q in part if G._slot(q)}
         e0 = G.elem(1, ov)
         violator = G.elem(Fraction(1, p), ov)
     else:
@@ -351,10 +341,11 @@ def non_absolute_ideal_witness(mult: Multiplication) -> NonAbsoluteWitness:
         violator = G.elem_qb(Fraction(1, 2), 0)
 
     cyclic = plus_cyclic(torsion_inv(G, Characteristic(INF)), e0)
+    inputs = {"cochar": G.cochar, "m": m, "p": p}
     if not equals(principal_ideal(mult, e0), cyclic):
-        raise InvariantError("witness ideal is not the cyclic group of e0")
+        raise InvariantError("witness ideal is not the cyclic group of e0", **inputs)
     if not contains(full_inv(G, char_of(e0)), violator):
-        raise InvariantError("violator left the absolute ideal of e0")
+        raise InvariantError("violator left the absolute ideal of e0", **inputs)
     if contains(cyclic, violator):
-        raise InvariantError("violator is a multiple of e0")
+        raise InvariantError("violator is a multiple of e0", **inputs)
     return NonAbsoluteWitness(e0, p, violator)

@@ -114,16 +114,17 @@ class SubgroupDescriptor:
 
 # Heights at a prime with cocharacteristic value k live in {0, ..., k-1, inf}
 # for finite k, in {0, 1, 2, ...} ∪ {inf-only-for-torsion} when k is inf, and
-# are always inf when k = 0.  Floors are rewritten accordingly.
+# are always inf when k = 0.  A floor v there becomes the least height that
+# meets it: ``v if v < k else INF`` for the full floor, and, as a torsion
+# element has height inf wherever there is no finite slot (k = 0 or inf),
+# ``v if v < k < INF else INF`` for the torsion floor.
 
 
 def _normalize_torsion_eta(G: Qd1Group, eta: Characteristic) -> Characteristic:
     chi = G.cochar
 
     def rule(k, v):
-        if not isinstance(k, int) or k == 0:
-            return INF  # no torsion slot at this prime
-        return v if isinstance(v, int) and v < k else INF
+        return v if v < k < INF else INF
 
     default = rule(chi.default, eta.default)
     primes = set(chi.exception_primes) | set(eta.exception_primes)
@@ -135,11 +136,7 @@ def _normalize_full_eta(G: Qd1Group, eta: Characteristic) -> tuple[Characteristi
     chi = G.cochar
 
     def rule(k, v):
-        if k == 0:
-            return INF  # every element has infinite height here
-        if isinstance(k, int):
-            return v if isinstance(v, int) and v < k else INF
-        return v  # divisible prime: finite floors all occur
+        return v if v < k else INF
 
     default = rule(chi.default, eta.default)
     primes = set(chi.exception_primes) | set(eta.exception_primes)

@@ -322,6 +322,18 @@ def test_a_broken_invariant_exits_three(capsys, monkeypatch):
     assert issubclass(errors.InvariantError, ArithmeticError)  # the suites record it as a FAIL
 
 
+def test_a_failed_recomputation_reports_its_inputs(capsys, monkeypatch):
+    # a ring-side zmul that is off by one breaks the check at the end of solve_in_principal
+    monkeypatch.setattr("qdrings.ring.zmul", lambda n, g: zmul(n + 1, g))
+    argv = ["--cochar", "default=inf;2:1", "--m", "r=3", "--g", "r=5", "--b", "r=15"]
+    code, out, err = run_cli(capsys, "ring", "witness", *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal error: principal witness failed recomputation "
+        "cochar=default=inf;2:1 m=r=3 g=r=5 b=r=15\n"
+    )
+
+
 @pytest.mark.parametrize(
     "name", sorted(m.name for m in pkgutil.iter_modules(qdrings.__path__) if m.name != "__main__")
 )

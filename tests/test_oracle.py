@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qdrings.foundations import INF, MAX_EXPONENT, Characteristic
-from qdrings.group import build_group, char_of, height, zmul
+from qdrings.group import build_group, char_of, coordinate_residue, height, zmul
 from qdrings.mutations import (
     certifier_skipping_verification,
     lowered_eta,
@@ -72,6 +72,16 @@ def test_height_oracle_never_consults_the_closed_form():
     assert height_oracle(g, 2, 6) == 1 == height(g, 2)
     g2 = GA.elem(Fraction(4), {2: 0})
     assert height_oracle(g2, 2, 6) == 6 and height(g2, 2) == INF
+
+
+def test_a_composite_p_is_rejected_before_it_reaches_the_slot_memo():
+    G = build_group(Characteristic(2))
+    g = G.elem(1)
+    calls = (coordinate_residue, exact_divide, lambda g, p: height_oracle(g, p, 3), height)
+    for call in calls:
+        with pytest.raises(ValueError, match="^4 is not prime$"):
+            call(g, 4)
+    assert 4 not in G._slots
 
 
 def test_height_agreement_at_the_oracle_bound():

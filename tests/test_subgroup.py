@@ -74,6 +74,39 @@ def test_full_inv_collapses_to_torsion_when_only_torsion_fits():
     assert d2.kind is DescriptorKind.TORSION
 
 
+# the floor v at 2 against the cocharacteristic value k at 2 (default inf elsewhere), printed
+# as full_inv and torsion_inv normalize it; the full floor collapses to T(...) at k = v = inf
+_FLOOR_TABLE = {
+    (0, 0): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (0, 1): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (0, 2): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (0, 3): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (0, INF): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (1, 0): ("G(eta=default=0)", "T(eta=default=inf;2:0)"),
+    (1, 1): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (1, 2): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (1, 3): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (1, INF): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (3, 0): ("G(eta=default=0)", "T(eta=default=inf;2:0)"),
+    (3, 1): ("G(eta=default=0;2:1)", "T(eta=default=inf;2:1)"),
+    (3, 2): ("G(eta=default=0;2:2)", "T(eta=default=inf;2:2)"),
+    (3, 3): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (3, INF): ("G(eta=default=0;2:inf)", "T(eta=default=inf)"),
+    (INF, 0): ("G(eta=default=0)", "T(eta=default=inf)"),
+    (INF, 1): ("G(eta=default=0;2:1)", "T(eta=default=inf)"),
+    (INF, 2): ("G(eta=default=0;2:2)", "T(eta=default=inf)"),
+    (INF, 3): ("G(eta=default=0;2:3)", "T(eta=default=inf)"),
+    (INF, INF): ("T(eta=default=inf)", "T(eta=default=inf)"),
+}
+
+
+@pytest.mark.parametrize("k, v", sorted(_FLOOR_TABLE))
+def test_floor_normalization_table(k, v):
+    G = build_group(Characteristic(INF, {2: k}))
+    eta = Characteristic(0, {2: v})
+    assert (str(full_inv(G, eta)), str(torsion_inv(G, eta))) == _FLOOR_TABLE[k, v]
+
+
 # -- torsion_inv ---------------------------------------------------------------
 
 def test_torsion_inv_examples():
