@@ -106,12 +106,16 @@ def _cmd_group_describe(args) -> int:
 def _cmd_elem_info(args) -> int:
     G = build_group(Characteristic.parse(args.cochar))
     g = G.parse_elem(args.elem)
-    char, c = char_of(g), c_of(g)  # char_of may factor; nothing is printed if that fails
-    print(f"elem={g}")
-    print(f"char={char.canonical_str()}")
-    print(f"order={order(g)}")
-    print(f"torsion={'true' if is_torsion(g) else 'false'}")
-    print(f"c={c}")
+    # every line is formatted before any is printed: char_of may factor, and an order
+    # p**k may be too long for str, so a failure leaves stdout empty
+    lines = (
+        f"elem={g}",
+        f"char={char_of(g).canonical_str()}",
+        f"order={order(g)}",
+        f"torsion={'true' if is_torsion(g) else 'false'}",
+        f"c={c_of(g)}",
+    )
+    print("\n".join(lines))
     return OK
 
 

@@ -2,9 +2,11 @@
 
 A group is determined by its cocharacteristic.  For a nonzero type the group
 is reduced and lives inside a product of cyclic p-adic modules generated by
-one coordinate per prime; an element is stored as a rational coefficient of
-the basis plus finitely many torsion-coordinate overrides at primes whose
-cocharacteristic value is finite and positive.  For the zero type the group
+one coordinate per prime; an element is stored as the coefficient num/den of
+the basis, two ints in lowest terms with den > 0, plus finitely many
+torsion-coordinate overrides at primes whose cocharacteristic value is finite
+and positive.  The coefficient is a ``Fraction`` only when ``.rational`` asks
+for one, so the arithmetic core combines plain ints.  For the zero type the group
 is Q (+) Z_m and the same storage is used with every torsion coordinate kept
 explicit, so one arithmetic core serves both kinds.  Only ``Qd1Group._slot(p)``
 decides whether a prime carries a torsion coordinate: it is the memoised modulus
@@ -62,12 +64,14 @@ __all__ = [
 class Qd1Group:
     """A rank-1 quotient divisible group, identified by its cocharacteristic."""
 
-    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots")
+    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots", "_draw_primes")
 
     def __init__(self, cochar: Characteristic):
         self._cochar = cochar
         # keyed by prime only; a finite positive default gives a slot at every prime
         self._slots: dict[int, int] = {}
+        # the primes oracle.random_element draws at, keyed by a TrialConfig's prime list
+        self._draw_primes: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
         if is_zero_type(cochar):
             self._torsion_keys = tuple(p for p in cochar.exception_primes if self._slot(p))
             self._modulus = math.prod(self._slot(p) for p in self._torsion_keys)
@@ -134,7 +138,8 @@ class Qd1Group:
             if isinstance(a, bool) or not isinstance(a, int):
                 raise ValueError(f"override at {p} must be an integer, got {a!r}")
             ov[p] = a % q
-        return _build(self, Fraction(rational), ov)
+        r = Fraction(rational)
+        return _build(self, r.numerator, r.denominator, ov)
 
     def elem_qb(self, q, b: int = 0) -> "GroupElement":
         """Build a nonreduced element from its (rational, torsion residue) pair."""
@@ -142,7 +147,8 @@ class Qd1Group:
             raise UnsupportedCaseError("elem_qb applies to nonreduced groups only")
         b %= self._modulus
         ov = {p: b % self._slot(p) for p in self._torsion_keys}
-        return _build(self, Fraction(q), ov)
+        r = Fraction(q)
+        return _build(self, r.numerator, r.denominator, ov)
 
     def zero(self) -> "GroupElement":
         return self.elem(0)
@@ -167,16 +173,19 @@ def is_integers(G: Qd1Group) -> bool:
 class GroupElement:
     """Canonical finite representation of a group element.
 
-    Immutable; construct through the parent group.  In a reduced group an
-    override is kept only where it differs from the residue of the rational
+    Immutable; construct through the parent group.  The coefficient of the
+    basis is held as ints ``_num`` and ``_den`` in lowest terms with
+    ``_den > 0``; ``rational`` builds the ``Fraction`` on demand.  In a reduced
+    group an override is kept only where it differs from the residue of the
     coefficient; in a nonreduced group every torsion coordinate is explicit.
     """
 
-    __slots__ = ("_group", "_rational", "_overrides")
+    __slots__ = ("_group", "_num", "_den", "_overrides")
 
-    def __init__(self, group: Qd1Group, rational: Fraction, overrides: dict[int, int]):
+    def __init__(self, group: Qd1Group, num: int, den: int, overrides: dict[int, int]):
         self._group = group
-        self._rational = rational
+        self._num = num
+        self._den = den
         self._overrides = overrides
 
     @property
@@ -185,7 +194,7 @@ class GroupElement:
 
     @property
     def rational(self) -> Fraction:
-        return self._rational
+        return Fraction(self._num, self._den)
 
     @property
     def overrides(self) -> dict[int, int]:
@@ -196,12 +205,13 @@ class GroupElement:
             return NotImplemented
         return (
             self._group == other._group
-            and self._rational == other._rational
+            and self._num == other._num
+            and self._den == other._den
             and self._overrides == other._overrides
         )
 
     def __hash__(self) -> int:
-        return hash((self._group, self._rational, tuple(sorted(self._overrides.items()))))
+        return hash((self._group, self._num, self._den, tuple(sorted(self._overrides.items()))))
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
         return add(self, other)
@@ -226,29 +236,35 @@ class GroupElement:
         if self._group.is_reduced:
             raise UnsupportedCaseError("as_pair applies to nonreduced groups only")
         residue, _ = crt((a, self._group._slot(p)) for p, a in self._overrides.items())
-        return self._rational, residue
+        return self.rational, residue
 
 
-def _rational_residue(r: Fraction, q: int) -> int:
-    # residue of r modulo q = p**k; requires p not dividing the denominator
-    return r.numerator * pow(r.denominator, -1, q) % q
+def _rational_residue(num: int, den: int, q: int) -> int:
+    # residue of num/den modulo q = p**k; requires p not dividing den
+    return num * pow(den, -1, q) % q
 
 
 def _residue(g: GroupElement, p: int, q: int) -> int:
     # coordinate_residue without validation, for a prime whose slot q is known
     a = g._overrides.get(p)
-    return _rational_residue(g._rational, q) if a is None else a
+    return _rational_residue(g._num, g._den, q) if a is None else a
 
 
-def _build(group: Qd1Group, rational: Fraction, overrides: dict[int, int]) -> GroupElement:
-    """Normalize and validate; the single constructor behind all arithmetic."""
-    den = rational.denominator
+def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
+    """Normalize and validate; the single constructor behind all arithmetic.
+
+    The coefficient num/den needs den > 0; it is brought to lowest terms here.
+    """
+    d = math.gcd(num, den)
+    if d != 1:
+        num //= d
+        den //= d
     if group.is_reduced:
         ov = {}
         for p, a in overrides.items():
             q = group._slot(p)
             a %= q
-            if den % p != 0 and a == _rational_residue(rational, q):
+            if den % p != 0 and a == _rational_residue(num, den, q):
                 continue  # redundant override
             ov[p] = a
     else:
@@ -258,13 +274,14 @@ def _build(group: Qd1Group, rational: Fraction, overrides: dict[int, int]) -> Gr
             if p in overrides:
                 ov[p] = overrides[p] % q
             elif den % p != 0:
-                ov[p] = _rational_residue(rational, q)
+                ov[p] = _rational_residue(num, den, q)
             else:
                 raise InvalidDenominatorError(
                     f"denominator prime {p} divides the torsion modulus; give the coordinate explicitly"
                 )
-    _check_denominator(group, den, ov)
-    return GroupElement(group, rational, ov)
+    if den > 1:
+        _check_denominator(group, den, ov)
+    return GroupElement(group, num, den, ov)
 
 
 def _check_denominator(group: Qd1Group, den: int, overrides: dict[int, int]) -> None:
@@ -318,7 +335,7 @@ def add(g: GroupElement, h: GroupElement) -> GroupElement:
     for p in g._overrides.keys() | h._overrides.keys():
         q = G._slot(p)
         ov[p] = (_residue(g, p, q) + _residue(h, p, q)) % q
-    return _build(G, g._rational + h._rational, ov)
+    return _build(G, g._num * h._den + h._num * g._den, g._den * h._den, ov)
 
 
 def neg(g: GroupElement) -> GroupElement:
@@ -330,7 +347,7 @@ def zmul(n: int, g: GroupElement) -> GroupElement:
         raise ValueError(f"integer multiple expected, got {n!r}")
     G = g._group
     ov = {p: n * a % G._slot(p) for p, a in g._overrides.items()}
-    return _build(G, n * g._rational, ov)
+    return _build(G, n * g._num, g._den, ov)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +362,7 @@ def height(g: GroupElement, p: int) -> ExtNat:
     if k == 0:
         return INF
     if k == INF:
-        r = g.rational
-        return INF if r == 0 else vp(r, p)
+        return INF if g._num == 0 else vp(g.rational, p)
     a = _residue(g, p, g.group._slot(p))
     return INF if a == 0 else vp(a, p)
 
@@ -354,11 +370,11 @@ def height(g: GroupElement, p: int) -> ExtNat:
 def char_of(g: GroupElement) -> Characteristic:
     """The full height profile of g as an eventually constant characteristic."""
     chi = g.group.cochar
-    r = g.rational
-    default_h: ExtNat = INF if (chi.default == 0 or r == 0) else 0
+    num = g._num
+    default_h: ExtNat = INF if (chi.default == 0 or num == 0) else 0
     candidates = set(chi.exception_primes) | set(g._overrides)
-    if r != 0 and chi.default != 0:
-        candidates |= set(factorization(r.numerator))
+    if num != 0 and chi.default != 0:
+        candidates |= set(factorization(num))
     exc = {}
     for p in candidates:
         h = height(g, p)
@@ -368,12 +384,12 @@ def char_of(g: GroupElement) -> Characteristic:
 
 
 def is_torsion(g: GroupElement) -> bool:
-    return g.rational == 0
+    return g._num == 0
 
 
 def order(g: GroupElement) -> ExtNat:
     """The additive order of g."""
-    if g.rational != 0:
+    if g._num != 0:
         return INF
     n = 1
     for p, a in g._overrides.items():
@@ -392,11 +408,10 @@ def c_of(g: GroupElement) -> int:
     if is_torsion(g):
         return 0
     chi = g.group.cochar
-    r = g.rational
     if chi.default == INF:
         # every prime but the finite-value exceptions is divisible, so dividing those
-        # out of |num r| leaves c without factoring
-        result = abs(r.numerator)
+        # out of |num| leaves c without factoring
+        result = abs(g._num)
         for p, v in chi.exception_items():
             if v != INF:
                 while result % p == 0:
@@ -405,7 +420,7 @@ def c_of(g: GroupElement) -> int:
     result = 1
     for p, v in chi.exception_items():
         if v == INF:
-            result *= p ** max(0, vp(r, p))
+            result *= p ** max(0, vp(g.rational, p))
     return result
 
 
@@ -455,32 +470,32 @@ def decompose(g: GroupElement) -> Decomposition:
         return Decomposition(0, Fraction(0), g, support)
     scale = c_of(g)
     rational = g.rational / scale
-    support = set(g._overrides) | _finite_positive_chi_divisors(G, g.rational.numerator)
+    support = set(g._overrides) | _finite_positive_chi_divisors(G, g._num)
     return Decomposition(scale, rational, _tail(g, support), frozenset(support))
 
 
 def _tail(g: GroupElement, support: set[int]) -> GroupElement:
     """The torsion part of g supported on the given primes."""
-    return _build(g._group, Fraction(0), {p: coordinate_residue(g, p) for p in support})
+    return _build(g._group, 0, 1, {p: coordinate_residue(g, p) for p in support})
 
 
 # ---------------------------------------------------------------------------
 # textual grammar
 
 
-def _frac_str(r: Fraction) -> str:
-    return str(r.numerator) if r.denominator == 1 else f"{r.numerator}/{r.denominator}"
+def _frac_str(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def canonical_elem_str(g: GroupElement) -> str:
     if g.group.is_reduced:
-        head = f"r={_frac_str(g.rational)}"
+        head = f"r={_frac_str(g._num, g._den)}"
         if not g._overrides:
             return head
         body = ",".join(f"{p}:{a}" for p, a in sorted(g._overrides.items()))
         return f"{head};{body}"
-    q, b = g.as_pair()
-    return f"q={_frac_str(q)};b={b}"
+    _, b = g.as_pair()
+    return f"q={_frac_str(g._num, g._den)};b={b}"
 
 
 def _scan_fraction(text: str, pos: int) -> tuple[Fraction, int]:

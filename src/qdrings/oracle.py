@@ -220,43 +220,58 @@ def random_group(
         chi = random_characteristic(rng, cfg, force_default=force_default)
         if reduced is not None and is_zero_type(chi) == reduced:
             continue
-        if with_torsion and not _torsion_slots(build_group(chi), cfg):
+        G = build_group(chi)
+        if with_torsion and not _draw_primes(G, cfg)[0]:
             continue
-        return build_group(chi)
+        return G
     fallback = Characteristic(0 if reduced is False else INF, {2: 2, 3: 1})
     return build_group(fallback)
 
 
-def _torsion_slots(G: Qd1Group, cfg: TrialConfig) -> list[int]:
-    return [p for p in sorted(set(cfg.primes) | set(G.cochar.exception_primes)) if G._slot(p)]
+def _draw_primes(G: Qd1Group, cfg: TrialConfig) -> tuple[tuple[int, ...], ...]:
+    """The primes random_element draws at: slots, zero-value and inf-value primes.
+
+    The slots are the sorted primes of cfg.primes and of the cocharacteristic's
+    exceptions that carry a torsion coordinate; the other two are read from
+    cfg.primes.  Memoised on G per prime list, so each group works them out once.
+    """
+    found = G._draw_primes.get(cfg.primes)
+    if found is None:
+        chi = G.cochar
+        found = G._draw_primes[cfg.primes] = (
+            tuple(p for p in sorted(set(cfg.primes) | set(chi.exception_primes)) if G._slot(p)),
+            tuple(p for p in cfg.primes if chi.value(p) == 0),
+            tuple(p for p in cfg.primes if chi.value(p) == INF),
+        )
+    return found
 
 
 def random_element(
     G: Qd1Group, rng: random.Random, cfg: TrialConfig, *, torsion: bool = False
 ) -> GroupElement:
-    chi = G.cochar
+    slots, zero_primes, inf_primes = _draw_primes(G, cfg)
     ov = {}
     den = 1
-    for p in _torsion_slots(G, cfg):
+    for p in slots:
         if rng.random() < 0.45:
             ov[p] = rng.randrange(G._slot(p))
             if not torsion and rng.random() < 0.3:
                 den *= p
     if torsion:
         return G.elem(0, ov)
-    for p in cfg.primes:
-        if chi.value(p) == 0 and rng.random() < 0.25:
+    for p in zero_primes:
+        if rng.random() < 0.25:
             den *= p
     num = rng.choice(_NONZERO_NUMERATORS)
-    for p in cfg.primes:
-        if chi.value(p) == INF and rng.random() < 0.3:
+    for p in inf_primes:
+        if rng.random() < 0.3:
             num *= p ** rng.randint(1, cfg.max_exp)
     return G.elem(Fraction(num, den), ov)
 
 
 def random_nonzero_torsion(G: Qd1Group, rng: random.Random, cfg: TrialConfig) -> GroupElement:
     """A torsion element that is not zero; the group must have a usable torsion slot."""
-    slots = _torsion_slots(G, cfg)
+    slots = _draw_primes(G, cfg)[0]
     if not slots:
         raise ValueError("group has no torsion slot below the prime bound")
     for _ in range(100):

@@ -142,7 +142,7 @@ def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupE
     for p in g1._overrides.keys() | g2._overrides.keys() | m._overrides.keys():
         q = G._slot(p)
         ov[p] = _residue(g1, p, q) * _residue(g2, p, q) * _residue(m, p, q) % q
-    return _build(G, g1._rational * g2._rational * m._rational, ov)
+    return _build(G, g1._num * g2._num * m._num, g1._den * g2._den * m._den, ov)
 
 
 def is_ai_ring(mult: Multiplication) -> bool:
@@ -231,8 +231,8 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
         return None
 
     support = set(g.overrides) | set(m.overrides) | set(b.overrides)
-    support |= _finite_positive_chi_divisors(G, g.rational.numerator)
-    support |= _finite_positive_chi_divisors(G, m.rational.numerator)
+    support |= _finite_positive_chi_divisors(G, g._num)
+    support |= _finite_positive_chi_divisors(G, m._num)
 
     scale_g = c_of(g)
     scale_m = c_of(m)

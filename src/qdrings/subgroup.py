@@ -178,7 +178,7 @@ def plus_cyclic(d: SubgroupDescriptor, g: GroupElement) -> SubgroupDescriptor:
 
 def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
     """Reduce g modulo the torsion part and normalize the sign of the rational."""
-    if g.rational < 0:
+    if g._num < 0:
         g = neg(g)
     ov = g.overrides
     for p in list(ov):
@@ -189,13 +189,13 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
         # prefer the coordinate implied by the rational when the two agree
         if (
             g.group.is_reduced
-            and g.rational.denominator % p != 0
-            and _rational_residue(g.rational, g.group._slot(p)) % p**v == reduced
+            and g._den % p != 0
+            and _rational_residue(g._num, g._den, g.group._slot(p)) % p**v == reduced
         ):
             del ov[p]
         else:
             ov[p] = reduced
-    return _build(g.group, g.rational, ov)
+    return _build(g.group, g._num, g._den, ov)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +205,7 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
 def _dominates(x: GroupElement, eta: Characteristic) -> bool:
     """Whether char_of(x) >= eta, comparing heights only at the primes eta can name."""
     chi = x.group.cochar
-    if x.rational != 0 and chi.default != 0 and eta.default != 0:
+    if x._num != 0 and chi.default != 0 and eta.default != 0:
         return False  # the heights of x are 0 at all but finitely many primes
     # elsewhere the height of x is inf, or eta is 0 there
     for p in set(eta.exception_primes) | set(chi.exception_primes) | x._overrides.keys():

@@ -21,7 +21,7 @@ from .oracle import (
     random_nonzero_torsion,
     ring_axiom_check,
     sample_member,
-    _torsion_slots,
+    _draw_primes,
 )
 from .ring import (
     is_ai_ring,
@@ -158,7 +158,7 @@ def suite_thm33(cfg: TrialConfig) -> list[CheckReport]:
     for i in range(cfg.trials):
         rng = cfg.rng("thm3.3", i)
         G = random_group(rng, cfg)
-        if rng.random() < 0.5 and _torsion_slots(G, cfg):
+        if rng.random() < 0.5 and _draw_primes(G, cfg)[0]:
             g = random_nonzero_torsion(G, rng, cfg)
             pai = principal_absolute_ideal(g)
             out.trials += 1
@@ -239,7 +239,7 @@ def suite_mult_iso(cfg: TrialConfig) -> list[CheckReport]:
         rhs = add(multiply(make_mult(G, m), g, h), multiply(make_mult(G, m2), g, h))
         if lhs != rhs:
             additivity.record(i, f"instance {i}: product is not additive in the defining element")
-        if _torsion_slots(G, cfg):
+        if _draw_primes(G, cfg)[0]:
             t1 = random_element(G, rng, cfg, torsion=True)
             t2 = random_element(G, rng, cfg, torsion=True)
             nai_subgroup.trials += 1

@@ -274,6 +274,16 @@ def test_a_1332_digit_prime_key_is_checked_quickly(capsys, deadline):
     assert code == 0 and out.strip() == f"reduced cochar=default=inf;{p}:0"
 
 
+def test_an_order_too_long_to_print_leaves_stdout_empty(capsys, deadline):
+    # the order is 100003**1000, about 5000 digits, past Python's int-to-str limit
+    with deadline(2.0):
+        code, out, err = run_cli(
+            capsys, "elem", "info", "--cochar", "default=1000", "--elem", "r=0;100003:1"
+        )
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "integer string conversion" in err
+
+
 def test_exponents_above_the_cap_are_rejected_before_a_group_is_built(capsys, monkeypatch):
     monkeypatch.setattr(Qd1Group, "__init__", lambda self, cochar: pytest.fail("a group was built"))
     code, _, err = run_cli(capsys, "group", "describe", "--cochar", "default=0;2:10000000000")

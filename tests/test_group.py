@@ -4,10 +4,12 @@ Derived height values are frozen here only after the independent
 iterated-division oracle reproduces them in the same test.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdrings.cli import run
 from qdrings.errors import (
@@ -183,6 +185,34 @@ def test_closure_of_arithmetic_under_revalidation():
             rebuilt = G.elem(out.rational, out.overrides)
             assert rebuilt == out
             pool[rng.randrange(len(pool))] = out
+
+
+def _assert_lowest_terms(x):
+    assert x._den > 0 and math.gcd(x._num, x._den) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(-30, 30))
+def test_integer_core_is_reduced_and_agrees_with_fractions(seed, n):
+    rng = random.Random(seed)
+    G = random_group(rng, CFG)
+    g, h, m = (random_element(G, rng, CFG, torsion=rng.random() < 0.3) for _ in range(3))
+    mult = make_mult(G, m)
+    checked = [
+        (g, g.rational),
+        (G.elem(n), Fraction(n)),
+        (G.elem(h.rational, h.overrides), h.rational),
+        (add(g, h), g.rational + h.rational),
+        (zmul(n, g), n * g.rational),
+        (multiply(mult, g, h), g.rational * h.rational * m.rational),
+    ]
+    for x, reference in checked:
+        _assert_lowest_terms(x)
+        assert x.rational == reference
+        parsed = G.parse_elem(str(x))
+        assert parsed == x and hash(parsed) == hash(x)
+    swapped = add(h, g)
+    assert swapped == add(g, h) and hash(swapped) == hash(add(g, h))
 
 
 # -- heights -----------------------------------------------------------------
