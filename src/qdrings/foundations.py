@@ -160,15 +160,16 @@ def vp(x, p: int) -> int:
     frac = Fraction(x)
     if frac == 0:
         raise ValueError("the valuation of 0 is infinite; handled at the height layer only")
+    return _int_vp(frac.numerator, p) - _int_vp(frac.denominator, p)
 
-    def count(n: int) -> int:
-        k = 0
-        while n % p == 0:
-            n //= p
-            k += 1
-        return k
 
-    return count(frac.numerator) - count(frac.denominator)
+def _int_vp(n: int, p: int) -> int:
+    """How many times the prime p divides the nonzero int n; the one valuation loop."""
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return k
 
 
 def bezout(a: int, b: int) -> tuple[int, int, int]:

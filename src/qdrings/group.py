@@ -33,13 +33,13 @@ from .foundations import (
     Characteristic,
     ExtNat,
     _expect,
+    _int_vp,
     _scan_int,
     _scan_uint,
     crt,
     factorization,
     is_prime,
     is_zero_type,
-    vp,
 )
 
 __all__ = [
@@ -138,7 +138,9 @@ class Qd1Group:
             if isinstance(a, bool) or not isinstance(a, int):
                 raise ValueError(f"override at {p} must be an integer, got {a!r}")
             ov[p] = a % q
-        r = Fraction(rational)
+        if type(rational) is int:  # not bool, which would reach _num as True
+            return _build(self, rational, 1, ov)
+        r = rational if isinstance(rational, Fraction) else Fraction(rational)
         return _build(self, r.numerator, r.denominator, ov)
 
     def elem_qb(self, q, b: int = 0) -> "GroupElement":
@@ -178,15 +180,18 @@ class GroupElement:
     ``_den > 0``; ``rational`` builds the ``Fraction`` on demand.  In a reduced
     group an override is kept only where it differs from the residue of the
     coefficient; in a nonreduced group every torsion coordinate is explicit.
+    The slot ``_pai`` memoises ``ring.principal_absolute_ideal`` of the element,
+    None until that is first asked for; equality, hashing and printing ignore it.
     """
 
-    __slots__ = ("_group", "_num", "_den", "_overrides")
+    __slots__ = ("_group", "_num", "_den", "_overrides", "_pai")
 
     def __init__(self, group: Qd1Group, num: int, den: int, overrides: dict[int, int]):
         self._group = group
         self._num = num
         self._den = den
         self._overrides = overrides
+        self._pai = None
 
     @property
     def group(self) -> Qd1Group:
@@ -362,9 +367,9 @@ def height(g: GroupElement, p: int) -> ExtNat:
     if k == 0:
         return INF
     if k == INF:
-        return INF if g._num == 0 else vp(g.rational, p)
+        return INF if g._num == 0 else _int_vp(g._num, p) - _int_vp(g._den, p)
     a = _residue(g, p, g.group._slot(p))
-    return INF if a == 0 else vp(a, p)
+    return INF if a == 0 else _int_vp(a, p)
 
 
 def char_of(g: GroupElement) -> Characteristic:
@@ -420,7 +425,7 @@ def c_of(g: GroupElement) -> int:
     result = 1
     for p, v in chi.exception_items():
         if v == INF:
-            result *= p ** max(0, vp(g.rational, p))
+            result *= p ** max(0, _int_vp(g._num, p) - _int_vp(g._den, p))
     return result
 
 

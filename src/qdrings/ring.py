@@ -171,11 +171,14 @@ def principal_ideal(mult: Multiplication, g: GroupElement) -> SubgroupDescriptor
 
 
 def principal_absolute_ideal(g: GroupElement) -> SubgroupDescriptor:
-    """The smallest subgroup containing g that is an ideal in every ring on the group."""
-    G = g.group
-    if is_torsion(g):
-        return torsion_inv(G, char_of(g))
-    return full_inv(G, char_of(g))
+    """The smallest subgroup containing g that is an ideal in every ring on the group.
+
+    It depends on g alone, so it is built once per element and memoised in g's ``_pai`` slot.
+    """
+    if g._pai is None:
+        build = torsion_inv if is_torsion(g) else full_inv
+        g._pai = build(g.group, char_of(g))
+    return g._pai
 
 
 # ---------------------------------------------------------------------------
@@ -185,30 +188,32 @@ def principal_absolute_ideal(g: GroupElement) -> SubgroupDescriptor:
 def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     """An integer n with n*g = u, for torsion g and u in the torsion descriptor of char g.
 
-    Built one prime at a time: the coordinate of g is a unit times a prime
-    power, so inverting the unit modulo the remaining slot pins n down there;
-    the congruences combine by the Chinese remainder theorem and the result
-    is verified by recomputation.
+    Built one prime at a time: the coordinate a of g is a unit times the prime
+    power d = gcd(a, q) of its slot q, so u is a multiple of g exactly when u is
+    torsion, is 0 wherever g is, and has a coordinate divisible by d at every
+    slot of g; otherwise NotAMemberError.  Inverting the unit modulo q/d pins n
+    down there; the congruences combine by the Chinese remainder theorem, and
+    the result is verified by recomputation.  A zero u gets the order of g.
     """
     if not is_torsion(g):
         raise UnsupportedCaseError("torsion_witness needs a torsion base element")
     G = g.group
     _same_group(G, u)
-    if not contains(torsion_inv(G, char_of(g)), u):
+    if not is_torsion(u) or not u._overrides.keys() <= g._overrides.keys():
         raise NotAMemberError(f"{u} is not an integer multiple of {g}")
-    if u == G.zero():
-        return int(order(g))
     congruences = []
     for p, a in g._overrides.items():
         q = G._slot(p)
         d = math.gcd(a, q)  # the p-power part of a; q when a = 0, which leaves n free modulo 1
         modulus = q // d
-        c = _residue(u, p, q) // d
+        c, r = divmod(_residue(u, p, q), d)
+        if r:
+            raise NotAMemberError(f"{u} is not an integer multiple of {g}")
         congruences.append((c * mod_inverse(a // d, modulus) % modulus, modulus))
     n, _ = crt(congruences)
     if zmul(n, g) != u:
         raise InvariantError("torsion witness failed recomputation", cochar=G.cochar, g=g, u=u)
-    return n
+    return n or int(order(g))
 
 
 def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -> PrincipalWitness | None:
@@ -227,7 +232,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
         raise UnsupportedCaseError(
             "solve_in_principal needs a non-torsion generator and a non-torsion basis square"
         )
-    if not contains(full_inv(G, char_of(g)), b):
+    if not contains(principal_absolute_ideal(g), b):
         return None
 
     support = set(g.overrides) | set(m.overrides) | set(b.overrides)

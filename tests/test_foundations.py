@@ -143,6 +143,7 @@ def test_is_prime():
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
     assert not is_prime(1) and not is_prime(-7)
+    assert primes_up_to(2) == [2] and primes_up_to(1) == []
     assert PSI_12 == 399165290221 * 798330580441 and is_prime(399165290221)
     assert not is_prime(PSI_9) and not is_prime(PSI_12) and not is_prime(PSI_13)
 

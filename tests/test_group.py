@@ -18,7 +18,7 @@ from qdrings.errors import (
     ParseError,
     UnsupportedCaseError,
 )
-from qdrings.foundations import INF, Characteristic, char_geq, factorization, meet
+from qdrings.foundations import INF, Characteristic, char_geq, factorization, meet, vp
 from qdrings.group import (
     add,
     build_group,
@@ -215,7 +215,34 @@ def test_integer_core_is_reduced_and_agrees_with_fractions(seed, n):
     assert swapped == add(g, h) and hash(swapped) == hash(add(g, h))
 
 
+def test_elem_takes_ints_and_fractions_as_they_are():
+    for G in (GA, GB):
+        three = G.elem(3)
+        assert G.elem(Fraction(6, 2)) == three == G.elem("3") == G.elem(3.0)
+        one = G.elem(True)
+        assert one == G.elem(1) and str(one) == str(G.elem(1))
+        # a bool coefficient would print as True
+        assert type(three._num) is int and type(one._num) is int
+    assert str(GA.elem(True)) == "r=1"
+
+
 # -- heights -----------------------------------------------------------------
+
+
+def test_integer_valuations_match_fraction_references():
+    # height at the infinite-value primes and c_of, against vp and factoring of g.rational
+    rng = random.Random(1111)
+    for _ in range(300):
+        G = random_group(rng, CFG)
+        g = random_element(G, rng, CFG, torsion=rng.random() < 0.2)
+        chi = G.cochar
+        r = g.rational
+        for p in CFG.primes + chi.exception_primes:
+            if chi.value(p) == INF:
+                assert height(g, p) == (INF if r == 0 else vp(r, p))
+        primes = factorization(abs(r.numerator)) if r else ()
+        expected = 0 if r == 0 else math.prod(p ** vp(r, p) for p in primes if chi.value(p) == INF)
+        assert c_of(g) == expected
 
 
 def test_height_examples_match_the_division_oracle():
@@ -429,6 +456,9 @@ def test_elem_parse_errors():
         GB.parse_elem("r=1")  # wrong kind prefix
     with pytest.raises(ParseError):
         GB.parse_elem("q=1;b=2")  # residue beyond the modulus
+    with pytest.raises(ParseError) as err:
+        GA.parse_elem("r=-")  # a sign with no digits after it
+    assert err.value.pos == 3
 
 
 def test_elem_round_trip_sweep():

@@ -41,6 +41,10 @@ def test_trial_config_validation():
         TrialConfig(seed=1, max_prime=3)
     with pytest.raises(ValueError):
         TrialConfig(seed=1, samples_per_instance=0)
+    smallest = TrialConfig(seed=1, trials=1, max_prime=5, max_exp=1, samples_per_instance=1)
+    assert smallest.primes == (2, 3, 5)
+    with pytest.raises(ValueError, match="at least 5"):
+        TrialConfig(seed=1, max_prime=4)
     assert TrialConfig(seed=1, max_prime=MAX_PRIME_BOUND).primes[-1] == 997
     with pytest.raises(ValueError, match="at most 1000"):
         TrialConfig(seed=1, max_prime=MAX_PRIME_BOUND + 1)
@@ -62,6 +66,7 @@ def test_height_oracle_examples():
     assert height_oracle(E, 2, 6) == 0
     assert height_oracle(GA.zero(), 7, 6) == 6
     assert height_oracle(GB.elem_qb(1, 0), 2, 6) == 6
+    assert height_oracle(GA.zero(), 7, 0) == 0 and height_oracle(GA.zero(), 7, 12) == 12
     with pytest.raises(ValueError):
         height_oracle(E, 2, 13)
 

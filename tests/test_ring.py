@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdrings.errors import (
     GroupMismatchError,
@@ -138,6 +139,24 @@ def test_principal_absolute_ideal_examples():
     assert not contains(db, GB.elem_qb(1, 1))
 
 
+@pytest.mark.parametrize("reduced", [True, False])
+def test_principal_absolute_ideal_is_memoised_per_element(reduced):
+    rng = random.Random(1212)
+    for _ in range(40):
+        G = random_group(rng, CFG, reduced=reduced)
+        g = random_element(G, rng, CFG, torsion=rng.random() < 0.4)
+        before = hash(g)
+        pai = principal_absolute_ideal(g)
+        assert principal_absolute_ideal(g) is pai
+        fresh = (torsion_inv if is_torsion(g) else full_inv)(G, char_of(g))
+        assert equals(pai, fresh) and str(pai) == str(fresh)
+        # the memo is invisible to equality, hashing and printing
+        parsed = G.parse_elem(str(g))
+        assert parsed == g and hash(parsed) == hash(g) == before and str(parsed) == str(g)
+        assert principal_absolute_ideal(parsed) is not pai
+        assert equals(principal_absolute_ideal(parsed), pai)
+
+
 # -- membership witnesses --------------------------------------------------------
 
 def test_solve_in_principal_trivial_and_derived_examples():
@@ -190,6 +209,8 @@ def test_torsion_witness_examples():
         torsion_witness(zmul(2, E2), E2)  # height at 2 drops below the floor
     with pytest.raises(UnsupportedCaseError):
         torsion_witness(E, E2)
+    with pytest.raises(NotAMemberError):
+        torsion_witness(E2, E)  # a non-torsion element is no multiple of a torsion one
 
 
 def test_torsion_witness_nonreduced():
@@ -198,6 +219,23 @@ def test_torsion_witness_nonreduced():
     u = G.elem_qb(0, 10)
     n = torsion_witness(g, u)
     assert zmul(n, g) == u
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.booleans(), st.integers(-60, 60))
+def test_torsion_witness_decides_membership_like_the_torsion_descriptor(seed, multiple, k):
+    rng = random.Random(seed)
+    G = random_group(rng, CFG, with_torsion=True)
+    g = random_element(G, rng, CFG, torsion=True)
+    u = zmul(k, g) if multiple else random_element(G, rng, CFG, torsion=True)
+    if not contains(torsion_inv(G, char_of(g)), u):
+        with pytest.raises(NotAMemberError):
+            torsion_witness(g, u)
+        return
+    n = torsion_witness(g, u)
+    assert zmul(n, g) == u
+    if u == G.zero():
+        assert n == order(g)
 
 
 def test_certify_member_covers_all_cases():
@@ -245,6 +283,13 @@ def test_is_nai_and_mult_round_trip():
     # torsion defining elements are closed under addition
     t1, t2 = E2, zmul(3, E2)
     assert is_nai(make_mult(GA, add(t1, t2)))
+
+
+def test_multiplication_equality():
+    same = make_mult(GA, GA.parse_elem("r=1"))
+    assert UNITAL == same and hash(UNITAL) == hash(same)
+    assert UNITAL != TORSION_RING
+    assert make_mult(GA, GA.zero()) != make_mult(GC, GC.zero())
 
 
 def test_non_absolute_ideal_witness_examples():
