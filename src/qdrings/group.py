@@ -18,8 +18,9 @@ it is built.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 from .errors import (
     GroupMismatchError,
@@ -429,14 +430,24 @@ def c_of(g: GroupElement) -> int:
     return result
 
 
+def _quotient(x: GroupElement, g: GroupElement) -> int:
+    """floor(x.rational / g.rational) for a non-torsion g.
+
+    Callers rely on x - k*g, for this k, being torsion exactly when the ratio
+    is an integer; no other k can make it torsion.
+    """
+    return x._num * g._den // (g._num * x._den)
+
+
 def _finite_positive_chi_divisors(G: Qd1Group, n: int) -> set[int]:
     """Primes p dividing the nonzero n with a torsion slot, 0 < cochar(p) < inf."""
     primes = factorization(n) if 0 < G.cochar.default < INF else G.cochar.exception_primes
     return {p for p in primes if n % p == 0 and G._slot(p)}
 
 
+@dataclass(frozen=True)
 class Decomposition:
-    """The canonical splitting of a reduced-group element.
+    """The canonical splitting of an element of either group kind.
 
     The element equals scale * rational * e0 + tail, where e0 is the basis
     element with its torsion coordinate zeroed on the support, the tail is a
@@ -445,41 +456,34 @@ class Decomposition:
     primes of the cocharacteristic.
     """
 
-    __slots__ = ("scale", "rational", "tail", "support")
-
-    def __init__(self, scale: int, rational: Fraction, tail: GroupElement, support: frozenset[int]):
-        self.scale = scale
-        self.rational = rational
-        self.tail = tail
-        self.support = support
+    scale: int
+    rational: Fraction
+    tail: GroupElement
+    support: frozenset[int]
 
     def recombine(self) -> GroupElement:
         G = self.tail.group
         free_part = G.elem(self.scale * self.rational, {p: 0 for p in self.support})
         return add(free_part, self.tail)
 
-    def __repr__(self) -> str:
-        return (
-            f"Decomposition(scale={self.scale}, rational={self.rational}, "
-            f"tail={canonical_elem_str(self.tail)}, support={sorted(self.support)})"
-        )
 
+def decompose(g: GroupElement, support: AbstractSet[int] = frozenset()) -> Decomposition:
+    """Split g, in either group kind, into a free part against a punctured basis plus a torsion tail.
 
-def decompose(g: GroupElement) -> Decomposition:
-    """Split a reduced-group element into its free part against a punctured basis plus a torsion tail."""
-    G = g.group
-    if not G.is_reduced:
-        raise UnsupportedCaseError("decompose is defined on reduced groups only")
+    The support is the overrides of g (every torsion coordinate in Q (+) Z_m),
+    the slot primes of its numerator, and the given primes, which must carry a
+    slot (else ValueError).  Enlarging it leaves scale and rational as they
+    are.  A torsion g is its own tail.
+    """
+    support = frozenset(g._overrides).union(support)
     if is_torsion(g):
-        support = frozenset(g._overrides)
-        return Decomposition(0, Fraction(0), g, support)
+        return Decomposition(0, Fraction(0), _tail(g, support), support)
     scale = c_of(g)
-    rational = g.rational / scale
-    support = set(g._overrides) | _finite_positive_chi_divisors(G, g._num)
-    return Decomposition(scale, rational, _tail(g, support), frozenset(support))
+    support |= _finite_positive_chi_divisors(g._group, g._num)
+    return Decomposition(scale, g.rational / scale, _tail(g, support), support)
 
 
-def _tail(g: GroupElement, support: set[int]) -> GroupElement:
+def _tail(g: GroupElement, support: frozenset[int]) -> GroupElement:
     """The torsion part of g supported on the given primes."""
     return _build(g._group, 0, 1, {p: coordinate_residue(g, p) for p in support})
 

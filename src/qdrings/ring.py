@@ -28,13 +28,13 @@ from .group import (
     GroupElement,
     Qd1Group,
     _build,
-    _finite_positive_chi_divisors,
+    _quotient,
     _residue,
     _same_group,
     _tail,
     add,
-    c_of,
     char_of,
+    decompose,
     is_integers,
     is_torsion,
     order,
@@ -219,11 +219,12 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
 def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -> PrincipalWitness | None:
     """A witness b = g x y + k*g when b lies in the ideal of a non-torsion g, or None.
 
-    Requires a non-torsion generator and a non-torsion basis square.  The
-    construction works over a finite support holding every torsion override
-    and every finite-slot prime of the rational coefficients: there the
-    problem splits into a Bezout equation for the free part and an integer
-    multiple for the tail.  The witness is recomputed before being returned.
+    Requires a non-torsion generator and a non-torsion basis square.  It is
+    built from two decompositions, of m and of g, over one finite support
+    holding every torsion override of g, m and b and every finite-slot prime
+    of the numerators of g and m: there the problem splits into a Bezout
+    equation for the free parts and an integer multiple for the tails.  The
+    witness is recomputed before being returned.
     """
     G = mult.group
     _same_group(G, g, b)
@@ -235,24 +236,17 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     if not contains(principal_absolute_ideal(g), b):
         return None
 
-    support = set(g.overrides) | set(m.overrides) | set(b.overrides)
-    support |= _finite_positive_chi_divisors(G, g._num)
-    support |= _finite_positive_chi_divisors(G, m._num)
+    # m first: its scale and rational do not depend on the support, and the
+    # support of g then holds every prime of g, m and b that carries a slot
+    dm = decompose(m, b._overrides.keys())
+    dg = decompose(g, dm.support)
+    r_frac, m_frac = dg.rational, dm.rational
+    n = int(order(dg.tail))
+    w = torsion_witness(dg.tail, _tail(b, dg.support))
 
-    scale_g = c_of(g)
-    scale_m = c_of(m)
-    r_frac = g.rational / scale_g  # primes confined to the support and the free primes
-    m_frac = m.rational / scale_m
-    s_frac = b.rational / scale_g
-
-    tail_g = _tail(g, support)
-    tail_b = _tail(b, support)
-    n = int(order(tail_g))
-    w = torsion_witness(tail_g, tail_b)
-
-    combined = s_frac - w * r_frac
+    combined = b.rational / dg.scale - w * r_frac
     k1, k2 = combined.numerator, combined.denominator
-    x0, y0, gcd = bezout(scale_m, n * r_frac.numerator * k2)
+    x0, y0, gcd = bezout(dm.scale, n * r_frac.numerator * k2)
     if gcd != 1:
         raise InvariantError("support primes leaked into the Bezout step", cochar=G.cochar, m=m, g=g, b=b)
     x, y = x0 * k1, y0 * k1
@@ -260,7 +254,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
         r_frac.denominator * m_frac.denominator * x,
         r_frac.numerator * m_frac.numerator * k2,
     )
-    y_elt = G.elem(z, {p: 0 for p in support})
+    y_elt = G.elem(z, {p: 0 for p in dg.support})
     k = n * y * r_frac.denominator + w
     if add(multiply(mult, g, y_elt), zmul(k, g)) != b:
         raise InvariantError("principal witness failed recomputation", cochar=G.cochar, m=m, g=g, b=b)
@@ -278,8 +272,6 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
     G = mult.group
     _same_group(G, g, b)
     if is_torsion(g):
-        if not is_torsion(b):
-            return None
         try:
             n = torsion_witness(g, b)
         except NotAMemberError:
@@ -287,14 +279,9 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
         return PrincipalWitness(G.zero(), n)
     if not is_torsion(mult.m_elt):
         return solve_in_principal(mult, g, b)
-    # all products are torsion: members are k*g plus a multiple of g x e
-    if is_torsion(b):
-        k = 0
-    else:
-        ratio = b.rational / g.rational
-        if ratio.denominator != 1:
-            return None
-        k = int(ratio)
+    # all products are torsion: members are k*g plus a multiple of g x e, and only
+    # k = _quotient(b, g) can leave a torsion t; the tests below reject any other t
+    k = _quotient(b, g)
     t = add(b, zmul(-k, g))
     g_times_e = multiply(mult, g, G.basis_element())
     if g_times_e == G.zero():

@@ -31,6 +31,7 @@ from .group import (
     GroupElement,
     Qd1Group,
     _build,
+    _quotient,
     _rational_residue,
     _same_group,
     add,
@@ -120,36 +121,27 @@ class SubgroupDescriptor:
 # ``v if v < k < INF else INF`` for the torsion floor.
 
 
-def _normalize_torsion_eta(G: Qd1Group, eta: Characteristic) -> Characteristic:
+def _normalize(G: Qd1Group, eta: Characteristic, rule) -> Characteristic:
+    """Apply rule(cochar value, floor value) at the default and at every exception prime."""
     chi = G.cochar
-
-    def rule(k, v):
-        return v if v < k < INF else INF
-
-    default = rule(chi.default, eta.default)
     primes = set(chi.exception_primes) | set(eta.exception_primes)
-    return Characteristic(default, {p: rule(chi.value(p), eta.value(p)) for p in primes})
+    return Characteristic(rule(chi.default, eta.default), {p: rule(chi.value(p), eta.value(p)) for p in primes})
+
+
+def _normalize_torsion_eta(G: Qd1Group, eta: Characteristic) -> Characteristic:
+    return _normalize(G, eta, lambda k, v: v if v < k < INF else INF)
 
 
 def _normalize_full_eta(G: Qd1Group, eta: Characteristic) -> tuple[Characteristic, bool]:
     """Cap the floor against the cocharacteristic; report whether only torsion can satisfy it."""
     chi = G.cochar
-
-    def rule(k, v):
-        return v if v < k else INF
-
-    default = rule(chi.default, eta.default)
-    primes = set(chi.exception_primes) | set(eta.exception_primes)
-    norm = Characteristic(default, {p: rule(chi.value(p), eta.value(p)) for p in primes})
-
+    norm = _normalize(G, eta, lambda k, v: v if v < k else INF)
     # A nontorsion element has height 0 at all but finitely many primes of
     # nonzero cocharacteristic, and finite height at every divisible prime.
-    collapsed = chi.default != 0 and norm.default >= 1
-    if not collapsed:
-        for p in set(chi.exception_primes) | set(norm.exception_primes):
-            if chi.value(p) == INF and norm.value(p) == INF:
-                collapsed = True
-                break
+    collapsed = (chi.default != 0 and norm.default >= 1) or any(
+        chi.value(p) == INF and norm.value(p) == INF
+        for p in set(chi.exception_primes) | set(norm.exception_primes)
+    )
     return norm, collapsed
 
 
@@ -229,11 +221,7 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
         return _dominates(x, d.eta)
     if d.kind is DescriptorKind.SUM and not is_torsion(x):
         # g is non-torsion: x - k*g is torsion only for k = x.rational / g.rational
-        g = d.generator
-        ratio = x.rational / g.rational
-        if ratio.denominator != 1:
-            return False
-        x = add(x, zmul(-int(ratio), g))
+        x = add(x, zmul(-_quotient(x, d.generator), d.generator))
     return is_torsion(x) and _dominates(x, d.eta)
 
 

@@ -4,6 +4,8 @@ import importlib
 import json
 import pkgutil
 import random
+import runpy
+import sys
 
 import pytest
 
@@ -152,6 +154,14 @@ def test_ring_witness_with_a_large_defining_element_in_an_inf_group(capsys, dead
         code, out, _ = run_cli(capsys, "ring", "witness", *argv)
     assert code == 0 and out.strip() == f"y=r=0;k={N_TWO_LARGE}"
     assert _witness_recomputes(out, "default=inf", f"r={N_TWO_LARGE}", "r=1", f"r={N_TWO_LARGE}")
+
+
+def test_ring_witness_in_a_zero_default_group_never_factors(capsys, deadline):
+    # with default 0 only the exception primes can carry a slot, so g = N is not factored
+    cochar, g, b = "default=0;2:3,3:inf", f"r={N_TWO_LARGE}", f"r={2 * N_TWO_LARGE}"
+    with deadline(1.0):
+        code, out, _ = run_cli(capsys, "ring", "witness", "--cochar", cochar, "--m", "r=1", "--g", g, "--b", b)
+    assert code == 0 and _witness_recomputes(out, cochar, "r=1", g, b)
 
 
 @pytest.mark.parametrize(
@@ -355,6 +365,24 @@ def test_every_exported_name_resolves(name):
 def test_unknown_command_exits_two(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
     assert run_cli(capsys, "ring", "mul", "--cochar", CHI_A)[0] == 2  # missing flags
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["group", "describe", "--cochar", CHI_A], 0),
+        (["ring", "classify", "--cochar", CHI_A, "--m", "r=0;2:1"], 1),
+        (["group", "describe", "--cochar", "default=0;2:"], 2),
+    ],
+    ids=["true", "negative", "usage"],
+)
+def test_python_dash_m_exits_with_the_run_code(capsys, monkeypatch, argv, code):
+    # runs src/qdrings/__main__.py and cli.main as `python -m qdrings` does
+    monkeypatch.setattr(sys, "argv", ["qdrings", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("qdrings", run_name="__main__")
+    assert exc.value.code == code
+    assert (capsys.readouterr().out == "") == (code == 2)
 
 
 # -- grammar round trips ---------------------------------------------------------

@@ -22,6 +22,7 @@ from qdrings.foundations import INF, Characteristic, char_geq, factorization, me
 from qdrings.group import (
     add,
     build_group,
+    _quotient,
     c_of,
     char_of,
     decompose,
@@ -383,8 +384,11 @@ def test_decompose_examples():
     e2 = GA.elem(0, {2: 1})
     dt = decompose(e2)
     assert dt.scale == 0 and dt.rational == 0 and dt.tail == e2 and set(dt.support) == {2}
-    with pytest.raises(UnsupportedCaseError):
-        decompose(GB.elem_qb(1, 0))
+    x = GB.elem_qb(Fraction(3, 5), 1)
+    assert decompose(x).recombine() == x
+    for g in (e, e2):  # 3 has cocharacteristic inf in GA, so no torsion coordinate
+        with pytest.raises(ValueError):
+            decompose(g, {3})
 
 
 def _fraction_primes(r):
@@ -397,13 +401,18 @@ def _fraction_primes(r):
 
 def test_decompose_invariants_on_random_elements():
     rng = random.Random(35)
-    for _ in range(300):
-        G = random_group(rng, CFG, reduced=True)
+    for i in range(300):
+        G = random_group(rng, CFG, reduced=i % 3 != 0)
         g = random_element(G, rng, CFG, torsion=rng.random() < 0.25)
         d = decompose(g)
         assert d.recombine() == g
         assert set(d.tail.overrides) <= set(d.support)
         assert d.scale == c_of(g)
+        # a given support is added to the one worked out for g; scale and rational stay
+        support = frozenset(p for p in (2, 3, 5, 7) if G._slot(p) and rng.random() < 0.5)
+        ds = decompose(g, support)
+        assert ds.recombine() == g and ds.support >= support | d.support
+        assert (ds.scale, ds.rational) == (d.scale, d.rational)
         if not is_torsion(g):
             for p in _fraction_primes(d.rational):
                 assert p in d.support or G.cochar.value(p) == 0
@@ -418,6 +427,23 @@ def test_decompose_invariants_on_random_elements():
                 free = G.elem(d.scale * d.rational, {p: 0 for p in support})
                 tail = G.elem(0, {p: _coordinate(g, p) for p in support})
                 assert add(free, tail) == g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64), st.integers(-40, 40), st.booleans())
+def test_quotient_is_the_floor_and_only_an_integer_ratio_leaves_torsion(seed, k, multiple):
+    rng = random.Random(seed)
+    G = random_group(rng, CFG)
+    g = random_element(G, rng, CFG)
+    while is_torsion(g):
+        g = random_element(G, rng, CFG)
+    t = random_element(G, rng, CFG, torsion=rng.random() < 0.5)
+    # x = k*g + t has an integer ratio whenever t is torsion
+    x = add(zmul(k, g), t) if multiple else t
+    ratio = x.rational / g.rational
+    q = _quotient(x, g)
+    assert q == math.floor(ratio)
+    assert is_torsion(add(x, zmul(-q, g))) == (ratio.denominator == 1)
 
 
 def _coordinate(g, p):
