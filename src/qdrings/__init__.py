@@ -13,6 +13,7 @@ from .errors import (
 from .foundations import (
     INF,
     MAX_EXPONENT,
+    MAX_HEIGHT,
     Characteristic,
     ExtNat,
     bezout,

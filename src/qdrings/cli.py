@@ -16,7 +16,7 @@ import sys
 from .errors import InvariantError, ParseError, RingIsAIError
 from .foundations import MAX_EXPONENT, Characteristic
 from .group import build_group, c_of, char_of, is_torsion, order
-from .oracle import MAX_PRIME_BOUND, TrialConfig
+from .oracle import MAX_PRIME_BOUND, MAX_SAMPLES, MAX_TRIALS, TrialConfig
 from .ring import (
     certify_member,
     is_ai_ring,
@@ -83,14 +83,16 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a named randomized verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(SUITE_NAMES))
     verify.add_argument("--seed", required=True, type=int, help="explicit seed for reproducibility")
-    verify.add_argument("--trials", type=int, default=100)
+    verify.add_argument("--trials", type=int, default=100, help=f"instances drawn, at most {MAX_TRIALS}")
     verify.add_argument(
         "--max-prime", type=int, default=13, help=f"largest prime drawn, at most {MAX_PRIME_BOUND}"
     )
     verify.add_argument(
         "--max-exp", type=int, default=4, help=f"largest exponent drawn, at most {MAX_EXPONENT}"
     )
-    verify.add_argument("--samples", type=int, default=20, help="samples per instance")
+    verify.add_argument(
+        "--samples", type=int, default=20, help=f"samples per instance, at most {MAX_SAMPLES}"
+    )
     verify.add_argument(
         "--format", choices=("text", "json-like-summary"), default="text", dest="format_"
     )

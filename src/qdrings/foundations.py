@@ -21,6 +21,7 @@ from .errors import FactorizationBudgetError, ParseError
 __all__ = [
     "INF",
     "MAX_EXPONENT",
+    "MAX_HEIGHT",
     "ExtNat",
     "Characteristic",
     "bezout",
@@ -302,8 +303,13 @@ def factorization(n: int) -> dict[int, int]:
 # characteristics
 
 
-# Largest finite value the grammar accepts: a group builds p**v for its torsion slots.
+# Largest finite value the grammar accepts for a cocharacteristic: a group builds p**v for
+# its torsion slots.
 MAX_EXPONENT = 1000
+# Largest finite height of an element whose coefficient prints: 2**14284 is the largest power
+# of 2 within Python's default limit of 4300 digits.  Floors are parsed up to it, so that the
+# characteristics and descriptors the CLI prints parse back.
+MAX_HEIGHT = 14284
 
 
 class Characteristic:
@@ -369,10 +375,13 @@ class Characteristic:
         return f"Characteristic({self.canonical_str()!r})"
 
     @classmethod
-    def parse(cls, text: str) -> "Characteristic":
-        """Parse the `default=<v>[;p:v,...]` grammar; v is `inf` or an integer 0..MAX_EXPONENT."""
+    def parse(cls, text: str, bound: int = MAX_EXPONENT) -> "Characteristic":
+        """Parse the `default=<v>[;p:v,...]` grammar; v is `inf` or an integer 0..bound.
+
+        The bound is MAX_EXPONENT for a cocharacteristic and MAX_HEIGHT for a floor.
+        """
         pos = _expect(text, 0, "default=")
-        default, pos = _scan_value(text, pos)
+        default, pos = _scan_value(text, pos, bound)
         exc: dict[int, ExtNat] = {}
         if pos < len(text):
             pos = _expect(text, pos, ";")
@@ -384,7 +393,7 @@ class Characteristic:
                 if p in exc:
                     raise ParseError(text, key_pos, "a prime not listed before")
                 pos = _expect(text, pos, ":")
-                v, pos = _scan_value(text, pos)
+                v, pos = _scan_value(text, pos, bound)
                 exc[p] = v
                 if pos == len(text):
                     break
@@ -458,10 +467,10 @@ def _scan_int(text: str, pos: int) -> tuple[int, int]:
     return sign * n, pos
 
 
-def _scan_value(text: str, pos: int) -> tuple[ExtNat, int]:
+def _scan_value(text: str, pos: int, bound: int) -> tuple[ExtNat, int]:
     if text.startswith("inf", pos):
         return INF, pos + 3
     v, end = _scan_uint(text, pos)
-    if v > MAX_EXPONENT:
-        raise ParseError(text, pos, f"inf or an integer at most {MAX_EXPONENT}")
+    if v > bound:
+        raise ParseError(text, pos, f"inf or an integer at most {bound}")
     return v, end

@@ -13,6 +13,14 @@ decides whether a prime carries a torsion coordinate: it is the memoised modulus
 p**cochar(p) when that value is finite and positive, and 0, meaning no finite
 torsion coordinate, when it is 0 or inf.  A nonreduced group fills the memo when
 it is built.
+
+Denominators are validated where outside input comes in, in ``Qd1Group.elem``
+and ``Qd1Group.elem_qb`` (``parse_elem`` goes through them).  A result of
+``add``, ``zmul`` or ``multiply`` needs no check: its reduced denominator has
+only primes of its operands' denominators, each such prime with a nonzero
+cocharacteristic value carries an override in some valid operand and so
+gets a coordinate in the result, and ``_build`` never drops an override at a
+prime that divides the denominator.
 """
 
 from __future__ import annotations
@@ -142,7 +150,7 @@ class Qd1Group:
         if type(rational) is int:  # not bool, which would reach _num as True
             return _build(self, rational, 1, ov)
         r = rational if isinstance(rational, Fraction) else Fraction(rational)
-        return _build(self, r.numerator, r.denominator, ov)
+        return _check_denominator(_build(self, r.numerator, r.denominator, ov))
 
     def elem_qb(self, q, b: int = 0) -> "GroupElement":
         """Build a nonreduced element from its (rational, torsion residue) pair."""
@@ -151,7 +159,7 @@ class Qd1Group:
         b %= self._modulus
         ov = {p: b % self._slot(p) for p in self._torsion_keys}
         r = Fraction(q)
-        return _build(self, r.numerator, r.denominator, ov)
+        return _check_denominator(_build(self, r.numerator, r.denominator, ov))
 
     def zero(self) -> "GroupElement":
         return self.elem(0)
@@ -245,55 +253,59 @@ class GroupElement:
         return self.rational, residue
 
 
-def _rational_residue(num: int, den: int, q: int) -> int:
-    # residue of num/den modulo q = p**k; requires p not dividing den
-    return num * pow(den, -1, q) % q
-
-
 def _residue(g: GroupElement, p: int, q: int) -> int:
     # coordinate_residue without validation, for a prime whose slot q is known
     a = g._overrides.get(p)
-    return _rational_residue(g._num, g._den, q) if a is None else a
+    return g._num * pow(g._den, -1, q) % q if a is None else a
 
 
 def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
-    """Normalize and validate; the single constructor behind all arithmetic.
+    """Normalize; the single constructor behind all arithmetic.
 
     The coefficient num/den needs den > 0; it is brought to lowest terms here.
+    The overrides hold residues already reduced modulo their slots, at primes
+    that have been through ``group._slot``.  The denominator is not validated
+    here: ``elem`` and ``elem_qb`` check it, and an arithmetic result inherits
+    a valid one (see the module docstring).
     """
     d = math.gcd(num, den)
     if d != 1:
         num //= d
         den //= d
-    if group.is_reduced:
-        ov = {}
+    slots = group._slots
+    ov = {}
+    if group._modulus is None:
         for p, a in overrides.items():
-            q = group._slot(p)
-            a %= q
-            if den % p != 0 and a == _rational_residue(num, den, q):
-                continue  # redundant override
-            ov[p] = a
+            q = slots[p]
+            if den % p == 0 or a != num * pow(den, -1, q) % q:
+                ov[p] = a  # not implied by the coefficient
     else:
-        ov = {}
         for p in group._torsion_keys:
-            q = group._slot(p)
-            if p in overrides:
-                ov[p] = overrides[p] % q
-            elif den % p != 0:
-                ov[p] = _rational_residue(num, den, q)
+            a = overrides.get(p)
+            if a is not None:
+                ov[p] = a
+            elif den % p:
+                q = slots[p]
+                ov[p] = num * pow(den, -1, q) % q
             else:
                 raise InvalidDenominatorError(
                     f"denominator prime {p} divides the torsion modulus; give the coordinate explicitly"
                 )
-    if den > 1:
-        _check_denominator(group, den, ov)
     return GroupElement(group, num, den, ov)
 
 
-def _check_denominator(group: Qd1Group, den: int, overrides: dict[int, int]) -> None:
-    chi = group.cochar
+def _check_denominator(g: GroupElement) -> GroupElement:
+    """g itself when every prime of its denominator may divide it, else InvalidDenominatorError.
+
+    A prime may divide the denominator when its cocharacteristic value is 0 or
+    when g gives its coordinate there.
+    """
+    den = g._den
+    if den == 1:
+        return g
+    chi = g._group.cochar
     rest = den
-    for p in overrides:
+    for p in g._overrides:
         while rest % p == 0:
             rest //= p
     for p in chi.exception_primes:
@@ -310,6 +322,7 @@ def _check_denominator(group: Qd1Group, den: int, overrides: dict[int, int]) -> 
         raise InvalidDenominatorError(
             f"denominator {part} has cocharacteristic {chi.default} and no override"
         )
+    return g
 
 
 def _same_group(G: Qd1Group, *values) -> None:
@@ -336,12 +349,19 @@ def coordinate_residue(g: GroupElement, p: int) -> int:
 
 def add(g: GroupElement, h: GroupElement) -> GroupElement:
     G = g._group
-    _same_group(G, h)
+    if h._group is not G:
+        _same_group(G, h)
+    gn, gd, go = g._num, g._den, g._overrides
+    hn, hd, ho = h._num, h._den, h._overrides
+    slots = G._slots
     ov = {}
-    for p in g._overrides.keys() | h._overrides.keys():
-        q = G._slot(p)
-        ov[p] = (_residue(g, p, q) + _residue(h, p, q)) % q
-    return _build(G, g._num * h._den + h._num * g._den, g._den * h._den, ov)
+    for p in go.keys() | ho.keys():
+        # h may come from an equal group object whose memo G has not filled
+        q = slots.get(p) or G._slot(p)
+        a = go[p] if p in go else gn * pow(gd, -1, q)
+        b = ho[p] if p in ho else hn * pow(hd, -1, q)
+        ov[p] = (a + b) % q
+    return _build(G, gn * hd + hn * gd, gd * hd, ov)
 
 
 def neg(g: GroupElement) -> GroupElement:
@@ -352,7 +372,7 @@ def zmul(n: int, g: GroupElement) -> GroupElement:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"integer multiple expected, got {n!r}")
     G = g._group
-    ov = {p: n * a % G._slot(p) for p, a in g._overrides.items()}
+    ov = {p: n * a % G._slots[p] for p, a in g._overrides.items()}
     return _build(G, n * g._num, g._den, ov)
 
 
@@ -475,12 +495,17 @@ def decompose(g: GroupElement, support: AbstractSet[int] = frozenset()) -> Decom
     slot (else ValueError).  Enlarging it leaves scale and rational as they
     are.  A torsion g is its own tail.
     """
+    scale, rational, support = _free_part(g, support)
+    return Decomposition(scale, rational, _tail(g, support), support)
+
+
+def _free_part(g: GroupElement, support: AbstractSet[int]) -> tuple[int, Fraction, frozenset[int]]:
+    """Scale, rational and support of ``decompose(g, support)``, without building its tail."""
     support = frozenset(g._overrides).union(support)
     if is_torsion(g):
-        return Decomposition(0, Fraction(0), _tail(g, support), support)
+        return 0, Fraction(0), support
     scale = c_of(g)
-    support |= _finite_positive_chi_divisors(g._group, g._num)
-    return Decomposition(scale, g.rational / scale, _tail(g, support), support)
+    return scale, g.rational / scale, support | _finite_positive_chi_divisors(g._group, g._num)
 
 
 def _tail(g: GroupElement, support: frozenset[int]) -> GroupElement:

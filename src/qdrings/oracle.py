@@ -46,6 +46,8 @@ from .subgroup import (
 __all__ = [
     "CheckReport",
     "MAX_PRIME_BOUND",
+    "MAX_SAMPLES",
+    "MAX_TRIALS",
     "TrialConfig",
     "exact_divide",
     "height_oracle",
@@ -61,6 +63,9 @@ __all__ = [
 _MAX_ORACLE_BOUND = 12
 # largest accepted TrialConfig.max_prime; the sieve allocates one byte per integer
 MAX_PRIME_BOUND = 1000
+# largest accepted TrialConfig.trials and samples_per_instance, so that every sweep is bounded
+MAX_TRIALS = 1000
+MAX_SAMPLES = 1000
 _NONZERO_NUMERATORS = tuple(n for n in range(-40, 41) if n)
 
 
@@ -84,6 +89,10 @@ class TrialConfig:
             raise ValueError(f"max_prime must be at most {MAX_PRIME_BOUND}")
         if self.max_exp > MAX_EXPONENT:
             raise ValueError(f"max_exp must be at most {MAX_EXPONENT}")
+        if self.trials > MAX_TRIALS:
+            raise ValueError(f"trials must be at most {MAX_TRIALS}")
+        if self.samples_per_instance > MAX_SAMPLES:
+            raise ValueError(f"samples_per_instance must be at most {MAX_SAMPLES}")
         # sieved once per sweep; every generator draws from these primes
         object.__setattr__(self, "primes", tuple(primes_up_to(self.max_prime)))
 

@@ -28,8 +28,8 @@ from .group import (
     GroupElement,
     Qd1Group,
     _build,
+    _free_part,
     _quotient,
-    _residue,
     _same_group,
     _tail,
     add,
@@ -136,13 +136,22 @@ def is_nai(mult: Multiplication) -> bool:
 def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupElement:
     """The ring product: coordinatewise, weighted by the square of the basis element."""
     G = mult._group
-    _same_group(G, g1, g2)
+    if g1._group is not G or g2._group is not G:
+        _same_group(G, g1, g2)
     m = mult._m
+    n1, d1, o1 = g1._num, g1._den, g1._overrides
+    n2, d2, o2 = g2._num, g2._den, g2._overrides
+    nm, dm, om = m._num, m._den, m._overrides
+    slots = G._slots
     ov = {}
-    for p in g1._overrides.keys() | g2._overrides.keys() | m._overrides.keys():
-        q = G._slot(p)
-        ov[p] = _residue(g1, p, q) * _residue(g2, p, q) * _residue(m, p, q) % q
-    return _build(G, g1._num * g2._num * m._num, g1._den * g2._den * m._den, ov)
+    for p in o1.keys() | o2.keys() | om.keys():
+        # the operands may come from an equal group object whose memo G has not filled
+        q = slots.get(p) or G._slot(p)
+        a = o1[p] if p in o1 else n1 * pow(d1, -1, q) % q
+        b = o2[p] if p in o2 else n2 * pow(d2, -1, q) % q
+        c = om[p] if p in om else nm * pow(dm, -1, q) % q
+        ov[p] = a * b * c % q
+    return _build(G, n1 * n2 * nm, d1 * d2 * dm, ov)
 
 
 def is_ai_ring(mult: Multiplication) -> bool:
@@ -206,7 +215,7 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
         q = G._slot(p)
         d = math.gcd(a, q)  # the p-power part of a; q when a = 0, which leaves n free modulo 1
         modulus = q // d
-        c, r = divmod(_residue(u, p, q), d)
+        c, r = divmod(u._overrides.get(p, 0), d)  # a torsion u is 0 wherever it has no override
         if r:
             raise NotAMemberError(f"{u} is not an integer multiple of {g}")
         congruences.append((c * mod_inverse(a // d, modulus) % modulus, modulus))
@@ -220,7 +229,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     """A witness b = g x y + k*g when b lies in the ideal of a non-torsion g, or None.
 
     Requires a non-torsion generator and a non-torsion basis square.  It is
-    built from two decompositions, of m and of g, over one finite support
+    built from the free part of m and the decomposition of g, over one finite support
     holding every torsion override of g, m and b and every finite-slot prime
     of the numerators of g and m: there the problem splits into a Bezout
     equation for the free parts and an integer multiple for the tails.  The
@@ -237,16 +246,17 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
         return None
 
     # m first: its scale and rational do not depend on the support, and the
-    # support of g then holds every prime of g, m and b that carries a slot
-    dm = decompose(m, b._overrides.keys())
-    dg = decompose(g, dm.support)
-    r_frac, m_frac = dg.rational, dm.rational
+    # support of g then holds every prime of g, m and b that carries a slot;
+    # the tail of m is never read, so it is not built
+    m_scale, m_frac, m_support = _free_part(m, b._overrides.keys())
+    dg = decompose(g, m_support)
+    r_frac = dg.rational
     n = int(order(dg.tail))
     w = torsion_witness(dg.tail, _tail(b, dg.support))
 
     combined = b.rational / dg.scale - w * r_frac
     k1, k2 = combined.numerator, combined.denominator
-    x0, y0, gcd = bezout(dm.scale, n * r_frac.numerator * k2)
+    x0, y0, gcd = bezout(m_scale, n * r_frac.numerator * k2)
     if gcd != 1:
         raise InvariantError("support primes leaked into the Bezout step", cochar=G.cochar, m=m, g=g, b=b)
     x, y = x0 * k1, y0 * k1

@@ -18,13 +18,14 @@ at all but finitely many primes, so a nonzero eta default excludes x.
 from __future__ import annotations
 
 import enum
-import math
 
 from .errors import ParseError, UnsupportedCaseError
 from .foundations import (
     INF,
+    MAX_HEIGHT,
     Characteristic,
     _expect,
+    _int_vp,
     meet,
 )
 from .group import (
@@ -32,7 +33,6 @@ from .group import (
     Qd1Group,
     _build,
     _quotient,
-    _rational_residue,
     _same_group,
     add,
     canonical_elem_str,
@@ -177,13 +177,10 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
         v = eta.value(p)
         if v == INF:
             continue
-        reduced = ov[p] % p**v
+        pv = p**v
+        reduced = ov[p] % pv
         # prefer the coordinate implied by the rational when the two agree
-        if (
-            g.group.is_reduced
-            and g._den % p != 0
-            and _rational_residue(g._num, g._den, g.group._slot(p)) % p**v == reduced
-        ):
+        if g.group.is_reduced and g._den % p != 0 and g._num * pow(g._den, -1, pv) % pv == reduced:
             del ov[p]
         else:
             ov[p] = reduced
@@ -240,9 +237,17 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
 #     integers-like group, where both are explicit multiples of the basis.
 
 
-def _eta_index(eta: Characteristic) -> int:
-    # finite product of p**eta(p); valid once eta has default 0 and finite values
-    return math.prod(p**v for p, v in eta.exception_items())
+def _is_eta_index(n: int, eta: Characteristic) -> bool:
+    """Whether the positive n is the product of p**eta(p), for eta with default 0 and finite values.
+
+    Each p**eta(p) is divided out of n rather than multiplied up, so a floor
+    with large values costs no more than the size of n.
+    """
+    for p, v in eta.exception_items():
+        if _int_vp(n, p) != v:
+            return False
+        n //= p**v
+    return n == 1
 
 
 def equals(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
@@ -257,7 +262,8 @@ def equals(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
     summ, full = (d1, d2) if d1.kind is DescriptorKind.SUM else (d2, d1)
     if not is_integers(summ.group):
         return False
-    return abs(summ.generator.rational) == _eta_index(full.eta)
+    g = summ.generator
+    return g._den == 1 and _is_eta_index(abs(g._num), full.eta)
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +306,6 @@ def _scan_to_close(text: str, pos: int) -> tuple[str, int]:
 
 def _parse_eta(text: str, offset: int, inner: str) -> Characteristic:
     try:
-        return Characteristic.parse(inner)
+        return Characteristic.parse(inner, MAX_HEIGHT)
     except ParseError as exc:
         raise ParseError(text, offset + exc.pos, exc.expected) from exc

@@ -1,6 +1,8 @@
 """Tests for the command-line front end: outputs, exit codes, grammar round trips."""
 
+import contextlib
 import importlib
+import io
 import json
 import pkgutil
 import random
@@ -8,16 +10,17 @@ import runpy
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qdrings
 from qdrings import cli, errors, foundations
 from qdrings.cli import run
 from qdrings.errors import ParseError
-from qdrings.foundations import INF, Characteristic
-from qdrings.group import Qd1Group, add, build_group, zmul
+from qdrings.foundations import INF, MAX_HEIGHT, Characteristic
+from qdrings.group import Qd1Group, add, build_group, char_of, zmul
 from qdrings.oracle import TrialConfig, random_characteristic, random_element
-from qdrings.ring import make_mult, multiply, principal_ideal
-from qdrings.subgroup import contains
+from qdrings.ring import make_mult, multiply, principal_absolute_ideal, principal_ideal
+from qdrings.subgroup import contains, descriptor_str, equals, parse_descriptor
 
 CHI_A = "default=0;2:2,3:inf"
 
@@ -245,6 +248,22 @@ def test_verify_rejects_an_exponent_bound_above_the_cap(capsys, monkeypatch):
     assert code == 2 and "max_exp must be at most 1000" in err
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--trials", "trials must be at most 1000"),
+        ("--samples", "samples_per_instance must be at most 1000"),
+    ],
+)
+def test_verify_rejects_sweep_sizes_above_the_caps_at_once(capsys, monkeypatch, deadline, flag, message):
+    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: pytest.fail("a suite ran"))
+    with deadline(1.0):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "ring-axioms", "--seed", "1", flag, "1000000000"
+        )
+    assert code == 2 and out == "" and message in err
+
+
 def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     from qdrings import cli
     from qdrings.oracle import CheckReport
@@ -403,3 +422,38 @@ def test_parse_char_matches_foundations_grammar():
     assert Characteristic.parse("default=inf") == Characteristic(INF)
     with pytest.raises(ParseError):
         Characteristic.parse("default")
+
+
+def _stdout_of(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(list(argv)) == 0
+    return out.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["0", "2", "inf"]),
+    st.integers(0, MAX_HEIGHT),
+    st.integers(0, 40),
+    st.sampled_from(["r=1", "r=0;5:1"]),
+)
+@example("0", MAX_HEIGHT, 0, "r=1")
+def test_printed_floors_parse_back(default, a, b, m):
+    # heights up to MAX_HEIGHT: 2**a * 3**c stays below 2**MAX_HEIGHT, so the element prints
+    cochar = f"default={default};2:inf,3:inf,5:2"
+    text = f"r={2**a * 3 ** min(b, (MAX_HEIGHT - a) // 2)}"
+    G = build_group(Characteristic.parse(cochar))
+    g = G.parse_elem(text)
+    info = _stdout_of("elem", "info", "--cochar", cochar, "--elem", text)
+    lines = dict(line.split("=", 1) for line in info.splitlines())
+    assert Characteristic.parse(lines["char"], MAX_HEIGHT) == char_of(g)
+    assert char_of(g).value(2) == a
+    ai = _stdout_of("ai", "ideal", "--cochar", cochar, "--g", text).strip()
+    ideal = _stdout_of("ring", "ideal", "--cochar", cochar, "--m", m, "--g", text).strip()
+    for printed, expected in (
+        (ai, principal_absolute_ideal(g)),
+        (ideal, principal_ideal(make_mult(G, G.parse_elem(m)), g)),
+    ):
+        parsed = parse_descriptor(printed, G)
+        assert descriptor_str(parsed) == printed and equals(parsed, expected)

@@ -14,6 +14,7 @@ from qdrings.errors import FactorizationBudgetError, ParseError
 from qdrings.foundations import (
     INF,
     MAX_EXPONENT,
+    MAX_HEIGHT,
     Characteristic,
     bezout,
     char_geq,
@@ -279,6 +280,18 @@ def test_characteristic_parse_caps_exponents():
         with pytest.raises(ParseError) as err:
             Characteristic.parse(text)
         assert err.value.pos == pos
+
+
+def test_floors_parse_up_to_the_largest_printable_height():
+    # 2**MAX_HEIGHT has 4300 digits, Python's default int-to-str limit, and 2**(MAX_HEIGHT+1) more
+    assert 10**4299 <= 2**MAX_HEIGHT < 10**4300 <= 2 ** (MAX_HEIGHT + 1)
+    text = f"default=0;2:{MAX_HEIGHT}"
+    assert Characteristic.parse(text, MAX_HEIGHT).value(2) == MAX_HEIGHT
+    with pytest.raises(ParseError) as err:
+        Characteristic.parse(f"default=0;2:{MAX_HEIGHT + 1}", MAX_HEIGHT)
+    assert err.value.pos == 12
+    with pytest.raises(ParseError):
+        Characteristic.parse(text)  # a cocharacteristic stays capped at MAX_EXPONENT
 
 
 @given(characteristics)

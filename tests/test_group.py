@@ -20,8 +20,10 @@ from qdrings.errors import (
 )
 from qdrings.foundations import INF, Characteristic, char_geq, factorization, meet, vp
 from qdrings.group import (
+    Qd1Group,
     add,
     build_group,
+    _check_denominator,
     _quotient,
     c_of,
     char_of,
@@ -214,6 +216,98 @@ def test_integer_core_is_reduced_and_agrees_with_fractions(seed, n):
         assert parsed == x and hash(parsed) == hash(x)
     swapped = add(h, g)
     assert swapped == add(g, h) and hash(swapped) == hash(add(g, h))
+
+
+def _fraction_coordinate(x, p, q):
+    # the coordinate at p from the override, else from the Fraction coefficient
+    if p in x.overrides:
+        return x.overrides[p]
+    r = x.rational
+    return r.numerator * pow(r.denominator, -1, q) % q
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64), st.integers(-30, 30), st.booleans())
+def test_arithmetic_results_need_no_denominator_check(seed, n, reduced):
+    # add, zmul, neg and multiply skip the check that G.elem makes: each result must pass it
+    # anyway and equal the element G.elem builds from Fraction coefficients and coordinates
+    rng = random.Random(seed)
+    G = random_group(rng, CFG, reduced=reduced)
+    g, h, m = (random_element(G, rng, CFG, torsion=rng.random() < 0.3) for _ in range(3))
+    mult = make_mult(G, m)
+    keys = g.overrides.keys() | h.overrides.keys() | m.overrides.keys()
+    slots = {p: G._slot(p) for p in keys}
+    c = {x: {p: _fraction_coordinate(x, p, q) for p, q in slots.items()} for x in (g, h, m)}
+    checked = [
+        (add(g, h), g.rational + h.rational, {p: c[g][p] + c[h][p] for p in keys}),
+        (zmul(n, g), n * g.rational, {p: n * c[g][p] for p in keys}),
+        (neg(h), -h.rational, {p: -c[h][p] for p in keys}),
+        (
+            multiply(mult, g, h),
+            g.rational * h.rational * m.rational,
+            {p: c[g][p] * c[h][p] * c[m][p] for p in keys},
+        ),
+    ]
+    for x, rational, coordinates in checked:
+        assert _check_denominator(x) is x
+        _assert_lowest_terms(x)
+        assert x.rational == rational
+        assert x == G.elem(rational, coordinates)
+
+
+def test_arithmetic_on_equal_group_objects_reads_slots_the_first_has_not_seen():
+    # each call gets two fresh equal groups: x fills only the slot memo of G1 at 2, y of G2 at 3
+    def twins():
+        chi = Characteristic(2)
+        G1, G2 = Qd1Group(chi), Qd1Group(chi)
+        return G1, G2, G1.elem(1, {2: 3}), G2.elem(1, {3: 5})
+
+    for op, expected in (
+        (lambda G1, G2, x, y: add(x, y), "r=2;2:0,3:6"),
+        (lambda G1, G2, x, y: add(y, x), "r=2;2:0,3:6"),
+        (lambda G1, G2, x, y: multiply(make_mult(G1, G1.elem(1)), x, y), "r=1;2:3,3:5"),
+        (lambda G1, G2, x, y: multiply(make_mult(G2, G2.elem(3, {5: 7})), x, y), "r=3;2:1,3:6,5:7"),
+    ):
+        G1, G2, x, y = twins()
+        assert 3 not in G1._slots and 2 not in G2._slots
+        assert str(op(G1, G2, x, y)) == expected
+
+
+@pytest.mark.parametrize(
+    "cochar, text, message",
+    [
+        ("default=0;2:2,3:inf", "r=1/3", "prime 3 has cocharacteristic inf"),
+        ("default=0;2:2,3:inf", "r=1/2", "prime 2 has cocharacteristic 2"),
+        ("default=1", "r=1/5", "prime 5 has cocharacteristic 1"),
+        ("default=inf;7:3", "r=1/7", "prime 7 has cocharacteristic 3"),
+        ("default=inf;7:3", "r=1/11", "prime 11 has cocharacteristic inf"),
+    ],
+)
+def test_reduced_entry_points_reject_a_bad_denominator(cochar, text, message):
+    G = build_group(Characteristic.parse(cochar))
+    r = Fraction(text[2:])
+    with pytest.raises(InvalidDenominatorError, match=message):
+        G.elem(r)
+    with pytest.raises(ParseError, match=message):
+        G.parse_elem(text)
+    with pytest.raises(UnsupportedCaseError):
+        G.elem_qb(r)
+    # an explicit coordinate at every slot prime of the denominator makes it valid
+    slots = {p: 0 for p in factorization(r.denominator) if G._slot(p)}
+    if len(slots) == len(factorization(r.denominator)):
+        assert G.elem(r, slots).rational == r
+
+
+def test_nonreduced_entry_points_reject_a_bad_denominator():
+    G = build_group(Characteristic(0, {2: 1, 3: 2}))
+    for r in (Fraction(1, 2), Fraction(5, 9), Fraction(1, 6)):
+        with pytest.raises(InvalidDenominatorError, match="give the coordinate explicitly"):
+            G.elem(r)
+        # elem_qb and the q=...;b=... text give every torsion coordinate, so any denominator is valid
+        x = G.elem_qb(r, 5)
+        assert x.as_pair() == (r, 5) and G.parse_elem(str(x)) == x
+    with pytest.raises(InvalidDenominatorError):
+        G.elem(Fraction(1, 3), {2: 1})  # the coordinate at 2 does not cover 3
 
 
 def test_elem_takes_ints_and_fractions_as_they_are():

@@ -14,6 +14,8 @@ from qdrings.mutations import (
 )
 from qdrings.oracle import (
     MAX_PRIME_BOUND,
+    MAX_SAMPLES,
+    MAX_TRIALS,
     TrialConfig,
     exact_divide,
     height_oracle,
@@ -51,6 +53,17 @@ def test_trial_config_validation():
     assert TrialConfig(seed=1, max_exp=MAX_EXPONENT).max_exp == MAX_EXPONENT
     with pytest.raises(ValueError, match="max_exp must be at most 1000"):
         TrialConfig(seed=1, max_exp=MAX_EXPONENT + 1)
+
+
+def test_trial_config_caps_the_sweep_sizes():
+    # the acceptance run draws 50 groups x 1000 samples and 200 groups x 10
+    for trials, samples in ((50, 1000), (200, 10), (MAX_TRIALS, MAX_SAMPLES)):
+        cfg = TrialConfig(seed=1, trials=trials, samples_per_instance=samples)
+        assert (cfg.trials, cfg.samples_per_instance) == (trials, samples)
+    with pytest.raises(ValueError, match="trials must be at most 1000"):
+        TrialConfig(seed=1, trials=MAX_TRIALS + 1)
+    with pytest.raises(ValueError, match="samples_per_instance must be at most 1000"):
+        TrialConfig(seed=1, samples_per_instance=MAX_SAMPLES + 1)
 
 
 def test_exact_divide_constructs_verified_preimages():

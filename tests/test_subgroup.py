@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from qdrings.errors import GroupMismatchError, UnsupportedCaseError
-from qdrings.foundations import INF, Characteristic, char_geq
+from qdrings.foundations import INF, MAX_HEIGHT, Characteristic, char_geq, primes_up_to
 from qdrings.group import add, build_group, char_of, is_torsion, zmul
 from qdrings.oracle import (
     TrialConfig,
@@ -288,6 +288,17 @@ def test_equals_cyclic_line_against_floor_in_the_integers_group():
     # outside the integers-like group a cyclic line never matches a floor
     line_a = plus_cyclic(torsion_inv(GA, Characteristic(INF)), zmul(2, E))
     assert not equals(line_a, full_inv(GA, char_of(zmul(2, E))))
+
+
+def test_equals_against_a_floor_with_large_values_never_builds_its_index(deadline):
+    # the index of this floor, the product of p**MAX_HEIGHT over 300 primes, has about 45M digits
+    floor = full_inv(GZ, Characteristic(0, {p: MAX_HEIGHT for p in primes_up_to(2000)[:300]}))
+    with deadline(1.0):
+        for n in (6, 2**MAX_HEIGHT, 2**MAX_HEIGHT * 3**MAX_HEIGHT):
+            assert not equals(plus_cyclic(torsion_inv(GZ, Characteristic(INF)), GZ.elem(n)), floor)
+    two = full_inv(GZ, Characteristic(0, {2: MAX_HEIGHT}))
+    assert equals(plus_cyclic(torsion_inv(GZ, Characteristic(INF)), GZ.elem(-(2**MAX_HEIGHT))), two)
+    assert not equals(plus_cyclic(torsion_inv(GZ, Characteristic(INF)), GZ.elem(2**MAX_HEIGHT * 3)), two)
 
 
 def test_equals_sum_generators_modulo_torsion_part():
