@@ -262,24 +262,68 @@ def _brent_split(n: int, budget: int) -> tuple[int, int]:
             return g, budget
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by Newton's method from above."""
+    e = math.log2(n) / k  # relative error near 2**-52, far inside the 1e-9 margin below
+    # start just above the root; from a power of two a large k would take about k steps
+    x = int(2 ** (e + 1e-9)) + 1 if e < 1000 else 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, k) with r**k == n for the least prime k that has one, or (n, 1).
+
+    n has no prime factor below _TRIAL_BOUND = 2**10, so a k-th root is at least
+    2**10 and only primes k <= bit_length/10 need trying.
+    """
+    for k in primes_up_to(n.bit_length() // 10):
+        r = _iroot(n, k)
+        if r**k == n:
+            return r, k
+    return n, 1
+
+
 def _factor_into(n: int, out: dict[int, int]) -> None:
-    """Add the prime factors of n > 1, which has none below _TRIAL_BOUND, to out."""
+    """Add the prime factors of n > 1, which has none below _TRIAL_BOUND, to out.
+
+    Each cofactor first sheds the primes found so far, then is tested for a
+    perfect power, so that p**k costs a few roots rather than k splits and k
+    primality tests on numbers of up to k*log p digits.
+    """
     budget = _BRENT_STEPS
-    pending = [n]
+    found: list[int] = []
+    pending = [(n, 1)]  # (cofactor, multiplicity)
     while pending:
-        n = pending.pop()
-        if n < _TRIAL_BOUND**2 or is_prime(n):
-            out[n] = out.get(n, 0) + 1
+        n, e = pending.pop()
+        for p in found:
+            k = _int_vp(n, p)
+            if k:
+                n //= p**k
+                out[p] += k * e
+        if n == 1:
+            continue
+        r, k = _perfect_power(n)
+        if k > 1:
+            pending.append((r, k * e))
+        elif n < _TRIAL_BOUND**2 or is_prime(n):
+            out[n] = out.get(n, 0) + e
+            found.append(n)
         else:
             d, budget = _brent_split(n, budget)
-            pending += (d, n // d)
+            d = min(d, n // d)  # the smaller part next, so that a prime it holds leaves the other
+            pending += ((n // d, e), (d, e))
 
 
 def factorization(n: int) -> dict[int, int]:
     """Prime factorization of abs(n) as an exponent map; n must be nonzero.
 
-    Trial division by the primes below 2**10, then Miller-Rabin on the cofactor and Brent's
-    method within a fixed step budget (FactorizationBudgetError when it runs out).
+    Trial division by the primes below 2**10, then, for each cofactor, integer roots for a
+    perfect power, Miller-Rabin, and Brent's method within a fixed step budget
+    (FactorizationBudgetError when it runs out).
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")

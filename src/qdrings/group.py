@@ -15,7 +15,9 @@ torsion coordinate, when it is 0 or inf.  A nonreduced group fills the memo when
 it is built.
 
 Denominators are validated where outside input comes in, in ``Qd1Group.elem``
-and ``Qd1Group.elem_qb`` (``parse_elem`` goes through them).  A result of
+and ``Qd1Group.elem_qb`` (``parse_elem`` goes through them), and in the seeded
+generators of ``oracle``, which build from ints with ``_build`` and call
+``_check_denominator`` on every result that is not torsion.  A result of
 ``add``, ``zmul`` or ``multiply`` needs no check: its reduced denominator has
 only primes of its operands' denominators, each such prime with a nonzero
 cocharacteristic value carries an override in some valid operand and so
@@ -265,8 +267,8 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
     The coefficient num/den needs den > 0; it is brought to lowest terms here.
     The overrides hold residues already reduced modulo their slots, at primes
     that have been through ``group._slot``.  The denominator is not validated
-    here: ``elem`` and ``elem_qb`` check it, and an arithmetic result inherits
-    a valid one (see the module docstring).
+    here: ``elem``, ``elem_qb`` and the oracle's generators check it, and an
+    arithmetic result inherits a valid one (see the module docstring).
     """
     d = math.gcd(num, den)
     if d != 1:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InvalidDenominatorError, InvariantError
 from .foundations import (
@@ -28,6 +27,8 @@ from .foundations import (
 from .group import (
     GroupElement,
     Qd1Group,
+    _build,
+    _check_denominator,
     _residue,
     add,
     build_group,
@@ -67,6 +68,7 @@ MAX_PRIME_BOUND = 1000
 MAX_TRIALS = 1000
 MAX_SAMPLES = 1000
 _NONZERO_NUMERATORS = tuple(n for n in range(-40, 41) if n)
+_RHO_MAGNITUDES = tuple(range(1, 30))
 
 
 @dataclass(frozen=True)
@@ -258,6 +260,15 @@ def _draw_primes(G: Qd1Group, cfg: TrialConfig) -> tuple[tuple[int, ...], ...]:
 def random_element(
     G: Qd1Group, rng: random.Random, cfg: TrialConfig, *, torsion: bool = False
 ) -> GroupElement:
+    """A random element, or a random torsion element when torsion is set.
+
+    The element is built from ints with ``_build``, skipping the checks of
+    ``G.elem``, which hold by construction: every key is a slot prime of
+    ``_draw_primes``, so it comes from the sieved ``cfg.primes`` or is an
+    exception prime that ``Characteristic`` has checked, and every residue is
+    ``randrange`` of its slot.  A torsion result has denominator 1; any other
+    result goes through ``_check_denominator``.
+    """
     slots, zero_primes, inf_primes = _draw_primes(G, cfg)
     ov = {}
     den = 1
@@ -267,7 +278,7 @@ def random_element(
             if not torsion and rng.random() < 0.3:
                 den *= p
     if torsion:
-        return G.elem(0, ov)
+        return _build(G, 0, 1, ov)
     for p in zero_primes:
         if rng.random() < 0.25:
             den *= p
@@ -275,7 +286,7 @@ def random_element(
     for p in inf_primes:
         if rng.random() < 0.3:
             num *= p ** rng.randint(1, cfg.max_exp)
-    return G.elem(Fraction(num, den), ov)
+    return _check_denominator(_build(G, num, den, ov))
 
 
 def random_nonzero_torsion(G: Qd1Group, rng: random.Random, cfg: TrialConfig) -> GroupElement:
@@ -307,6 +318,12 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
 
 
 def _torsion_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
+    """A torsion element meeting the floor eta, built with ``_build`` like ``random_element``.
+
+    Keys are prime by construction (``cfg.primes`` or checked exception primes
+    of the cocharacteristic and of eta), and ``p**v * randrange(q // p**v)``
+    lies in ``[0, q)`` for the slot q of p.
+    """
     chi = G.cochar
     ov = {}
     for p in sorted(set(cfg.primes) | set(chi.exception_primes) | set(eta.exception_primes)):
@@ -315,15 +332,21 @@ def _torsion_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
             continue  # no slot, or an empty one under the floor
         if rng.random() < 0.6:
             ov[p] = p**v * rng.randrange(G._slot(p) // p**v)
-    return G.elem(0, ov)
+    return _build(G, 0, 1, ov)
 
 
 def _full_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
+    """An element meeting the floor eta, built with ``_build`` like ``random_element``.
+
+    Keys and residues are valid by construction, as in ``_torsion_member``.
+    The coefficient stays two ints, rho and den, and the result goes through
+    ``_check_denominator`` unless it is torsion.
+    """
     chi = G.cochar
     if rng.random() < 0.2:
         # torsion members satisfy any floor they meet on the torsion slots
         return _torsion_member(G, _normalize_torsion_eta(G, eta), rng, cfg)
-    rho = Fraction(rng.choice([n for n in range(1, 30)]) * rng.choice([1, -1]))
+    rho = rng.choice(_RHO_MAGNITUDES) * rng.choice([1, -1])
     forced: dict[int, int] = {}
     relevant = sorted(set(cfg.primes) | set(chi.exception_primes) | set(eta.exception_primes))
     for p in relevant:
@@ -332,12 +355,13 @@ def _full_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
             if 0 < v < INF:
                 rho *= p ** (v + rng.choice([0, 0, 1]))
         elif k > 0:
+            q = G._slot(p)  # _build reads the memoised slot of every key
             if v == INF:
                 forced[p] = 0
             elif v > 0:
-                forced[p] = p**v * rng.randrange(G._slot(p) // p**v)
+                forced[p] = p**v * rng.randrange(q // p**v)
             elif rng.random() < 0.3:
-                forced[p] = rng.randrange(G._slot(p))
+                forced[p] = rng.randrange(q)
     den = 1
     for p in cfg.primes:
         k = chi.value(p)
@@ -345,7 +369,7 @@ def _full_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
             den *= p
         elif p in forced and rng.random() < 0.25:
             den *= p
-    return G.elem(rho / den, forced)
+    return _check_denominator(_build(G, rho, den, forced))
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +427,11 @@ def ring_axiom_check(
     *,
     product=multiply,
 ) -> CheckReport:
-    """Exact commutativity, associativity, bilinearity, and additivity in the defining element."""
+    """Exact commutativity, associativity, bilinearity, and additivity in the defining element.
+
+    The products x*y and y*z of each sample are computed once and reused by
+    every check that compares them.
+    """
     G = mult.group
     rng = cfg.rng("axioms", _input_digest(G.cochar, mult.m_elt))
     report = CheckReport("ring-axioms")
@@ -416,18 +444,20 @@ def ring_axiom_check(
         y = random_element(G, rng, cfg, torsion=rng.random() < 0.25)
         z = random_element(G, rng, cfg)
         report.trials += 1
-        if product(mult, x, y) != product(mult, y, x):
+        xy = product(mult, x, y)
+        yz = product(mult, y, z)
+        if xy != product(mult, y, x):
             report.record(i, "commutativity failed")
             continue
-        if product(mult, product(mult, x, y), z) != product(mult, x, product(mult, y, z)):
+        if product(mult, xy, z) != product(mult, x, yz):
             report.record(i, "associativity failed")
             continue
-        if product(mult, add(x, y), z) != add(product(mult, x, z), product(mult, y, z)):
+        if product(mult, add(x, y), z) != add(product(mult, x, z), yz):
             report.record(i, "distributivity failed")
             continue
         m2 = random_element(G, rng, cfg)
         lhs = product(make_mult(G, add(mult.m_elt, m2)), x, y)
-        rhs = add(product(mult, x, y), product(make_mult(G, m2), x, y))
+        rhs = add(xy, product(make_mult(G, m2), x, y))
         if lhs != rhs:
             report.record(i, "additivity in the defining element failed")
     return report

@@ -131,6 +131,13 @@ def test_factoring_beyond_the_brent_budget_exits_two(capsys, deadline, argv):
     assert err.startswith("error: ") and "did not split" in err
 
 
+def test_elem_info_of_a_4001_digit_prime_power_answers_at_once(capsys, deadline):
+    with deadline(1.0):
+        code, out, _ = run_cli(capsys, "elem", "info", "--cochar", "default=7", "--elem", f"r={10007**1000}")
+    assert code == 0
+    assert out.splitlines()[1:] == ["char=default=0;10007:inf", "order=inf", "torsion=false", "c=1"]
+
+
 def test_ring_witness_non_absolute(capsys):
     code, out, _ = run_cli(capsys, "ring", "witness", "--cochar", CHI_A, "--m", "r=0;2:1")
     assert code == 0 and out.strip() == "e0=r=1;2:0;p=2;x=r=1/2;2:0"

@@ -218,6 +218,33 @@ def test_factoring_a_large_prime_times_a_small_k_is_fast(deadline):
             assert factorization(k * P22)[P22] == 1
 
 
+@pytest.mark.parametrize(
+    "p, k",
+    [(1031, 300), (10007, 200), (2**31 - 1, 60)],
+    ids=["1031**300", "10007**200", "(2**31-1)**60"],
+)
+def test_prime_powers_factor_in_bounded_time(deadline, p, k):
+    # each is a perfect power found by integer roots; (2**31-1)**60 used to run out of Brent steps
+    with deadline(1.0):
+        assert factorization(p**k) == {p: k}
+        assert factorization(-3 * p**k * 1033) == {3: 1, p: k, 1033: 1}
+
+
+def test_prime_exponents_above_the_trial_primes_are_tried(deadline):
+    # 1031 is the least prime above the trial bound, so no trial prime k gives a root
+    with deadline(1.0):
+        assert factorization(1031**1031) == {1031: 1031}
+
+
+def test_found_primes_are_divided_out_of_later_cofactors(monkeypatch):
+    # without the division the cofactors shed about one prime per split (52 calls here)
+    splits = []
+    brent = foundations._brent_split
+    monkeypatch.setattr(foundations, "_brent_split", lambda n, budget: splits.append(n) or brent(n, budget))
+    assert factorization((1031 * 1033) ** 50 * 1039) == {1031: 50, 1033: 50, 1039: 1}
+    assert len(splits) <= 3
+
+
 def test_brent_gives_up_within_its_step_budget(deadline):
     with deadline(2.0):
         with pytest.raises(FactorizationBudgetError, match="did not split"):

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdrings.foundations import INF, MAX_EXPONENT, Characteristic
-from qdrings.group import build_group, char_of, coordinate_residue, height, zmul
+from qdrings.foundations import INF, MAX_EXPONENT, Characteristic, is_prime
+from qdrings.group import _check_denominator, build_group, char_of, coordinate_residue, height, zmul
 from qdrings.mutations import (
     certifier_skipping_verification,
     lowered_eta,
@@ -23,11 +24,12 @@ from qdrings.oracle import (
     ideal_two_way_check,
     random_element,
     random_group,
+    random_nonzero_torsion,
     ring_axiom_check,
     sample_member,
 )
 from qdrings.ring import make_mult, principal_ideal
-from qdrings.subgroup import contains, full_inv, torsion_inv
+from qdrings.subgroup import DescriptorKind, contains, full_inv, plus_cyclic, torsion_inv
 
 GA = build_group(Characteristic(0, {2: 2, 3: INF}))
 GB = build_group(Characteristic(0, {2: 1}))
@@ -121,6 +123,36 @@ def test_sampled_members_do_lie_in_their_descriptor():
         for d in (full_inv(G, eta), torsion_inv(G, eta)):
             x = sample_member(d, rng, CFG)
             assert contains(d, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.sampled_from(((5, 1), (13, 4), (31, 3), (60, 9))),
+)
+def test_generators_build_what_the_public_constructor_builds(seed, reduced, sizes):
+    # the generators skip G.elem's checks; every draw must still be what G.elem gives
+    max_prime, max_exp = sizes
+    cfg = TrialConfig(seed=seed, max_prime=max_prime, max_exp=max_exp)
+    rng = cfg.rng("construction")
+    G = random_group(rng, cfg, reduced=reduced)
+    assert G.is_reduced == reduced
+    drawn = [random_element(G, rng, cfg, torsion=t) for t in (False, True, False, True)]
+    if any(G._slot(p) for p in cfg.primes):
+        drawn.append(random_nonzero_torsion(G, rng, cfg))
+    kinds = set()
+    for g in drawn[:3]:
+        eta = char_of(g)
+        for d in (full_inv(G, eta), torsion_inv(G, eta), plus_cyclic(torsion_inv(G, eta), g)):
+            kinds.add(d.kind)
+            drawn += [sample_member(d, rng, cfg) for _ in range(3)]
+    assert kinds == set(DescriptorKind)
+    for x in drawn:
+        assert x == G.elem(x.rational, x.overrides)
+        assert _check_denominator(x) is x
+        for p, a in x.overrides.items():
+            assert is_prime(p) and 0 <= a < G._slot(p)
 
 
 def test_two_way_check_passes_on_sound_descriptors():
