@@ -5,22 +5,20 @@ Each mutant changes one thing in one module:
     a comparison operator   <  <->  <=,  >  <->  >=,  ==  <->  !=,  is <-> is not,  in <-> not in
     an int constant         n  ->  n + 1  and  n  ->  n - 1   (bools excluded)
 
-Every mutant is written into a private copy of the tree and tier-1 runs there
-with ``-x``; a failing run (or one past ``--timeout``) kills the mutant.  The
-report gives killed/total per module and lists each survivor by file and line.
-Before the sweep, the unmutated modules are put through the same
-parse-and-unparse step and must pass, so that a survivor is never an artefact
-of the rewriting.
+Every mutant is written into a private copy of the tree, one at a time, and
+tier-1 runs there with ``-x``; a failing run (or one past ``TIMEOUT`` seconds)
+kills the mutant.  The report gives killed/total per module and lists each
+survivor by file and line.  Before the sweep, the unmutated modules are put
+through the same parse-and-unparse step and must pass, so that a survivor is
+never an artefact of the rewriting.
 
 Usage, from the root of the repository (stdlib only):
 
     python tools/mutsweep.py --module oracle --list          # the mutants, compiled but not tested
-    python tools/mutsweep.py --module oracle --jobs 2        # the sweep
-    python tools/mutsweep.py --module oracle --first tests/test_draws.py --json out.json
+    python tools/mutsweep.py --module oracle                 # the sweep
+    python tools/mutsweep.py --module oracle --json out.json # the sweep, with a report
 
 ``--module`` keeps the modules whose file stem contains the given text.
-``--first`` runs the given test files before the rest of tier-1, which kills
-most mutants sooner and changes no verdict.
 """
 
 from __future__ import annotations
@@ -33,15 +31,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "qdrings"
 COPIED = ("src", "tests", "pyproject.toml", "README.md")  # README.md holds the CLI examples a test replays
+TIMEOUT = 600.0  # seconds per tier-1 run; a mutant that hangs (say, a loop that no longer ends) is killed
 SWAPS = {
     ast.Lt: ast.LtE,
     ast.LtE: ast.Lt,
@@ -106,66 +103,45 @@ def mutated_source(mutant: Mutant | None, path: Path) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def _pytest(tree: Path, first: list[str], timeout: float) -> bool:
-    """True when tier-1 passes in tree, the files named in first running before the rest."""
+def _pytest(tree: Path) -> bool:
+    """True when tier-1 passes in tree."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
-    base = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
-    runs = [[*base, *first]] if first else []
-    runs.append([*base, *(f"--deselect={f}" for f in first), "tests"])
-    for argv in runs:
-        try:
-            done = subprocess.run(argv, cwd=tree, env=env, timeout=timeout, capture_output=True)
-        except subprocess.TimeoutExpired:
-            return False
-        if done.returncode != 0:
-            return False
-    return True
-
-
-def sweep(todo: list[Mutant], jobs: int, first: list[str], timeout: float, log) -> list[Mutant]:
-    """Run tier-1 against each mutant in one of `jobs` private copies; return the survivors."""
-    scratch = Path(tempfile.mkdtemp(prefix="mutsweep-"))
-    copies: list[Path] = []
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
     try:
-        for j in range(jobs):
-            tree = scratch / f"tree{j}"
-            for name in COPIED:
-                src = ROOT / name
-                if src.is_dir():
-                    shutil.copytree(src, tree / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-                else:
-                    shutil.copy2(src, tree / name)
-            copies.append(tree)
+        done = subprocess.run(argv, cwd=tree, env=env, timeout=TIMEOUT, capture_output=True)
+    except subprocess.TimeoutExpired:
+        return False
+    return done.returncode == 0
+
+
+def sweep(todo: list[Mutant], log) -> list[Mutant]:
+    """Run tier-1 against each mutant in a private copy of the tree; return the survivors."""
+    scratch = Path(tempfile.mkdtemp(prefix="mutsweep-"))
+    tree = scratch / "tree"
+    try:
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tree / name, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+            else:
+                shutil.copy2(src, tree / name)
         paths = sorted({m.path for m in todo})
         for path in paths:  # the unmutated rewrite must pass, or no verdict below means anything
-            (copies[0] / path).write_text(mutated_source(None, path))
-        if not _pytest(copies[0], first, timeout):
+            (tree / path).write_text(mutated_source(None, path))
+        if not _pytest(tree):
             raise SystemExit("error: tier-1 fails on the unparsed, unmutated modules")
         for path in paths:
-            shutil.copy2(ROOT / path, copies[0] / path)
+            shutil.copy2(ROOT / path, tree / path)
 
-        free = list(copies)
-        lock = threading.Lock()
         survivors = []
-
-        def run(mutant: Mutant) -> None:
-            with lock:
-                tree = free.pop()
-            try:
-                (tree / mutant.path).write_text(mutated_source(mutant, mutant.path))
-                killed = not _pytest(tree, first, timeout)
-                shutil.copy2(ROOT / mutant.path, tree / mutant.path)
-            finally:
-                with lock:
-                    free.append(tree)
-            with lock:
-                if not killed:
-                    survivors.append(mutant)
-                log(f"{'killed  ' if killed else 'SURVIVED'} {mutant.path}:{mutant.line}: {mutant.what}")
-
-        with ThreadPoolExecutor(jobs) as pool:
-            list(pool.map(run, todo))
-        return sorted(survivors, key=lambda m: (str(m.path), m.index))
+        for mutant in todo:
+            (tree / mutant.path).write_text(mutated_source(mutant, mutant.path))
+            killed = not _pytest(tree)
+            shutil.copy2(ROOT / mutant.path, tree / mutant.path)
+            if not killed:
+                survivors.append(mutant)
+            log(f"{'killed  ' if killed else 'SURVIVED'} {mutant.path}:{mutant.line}: {mutant.what}")
+        return survivors
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -174,16 +150,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--module", default="", help="keep modules whose file stem contains this text")
     parser.add_argument("--list", action="store_true", help="list and compile the mutants; run no tests")
-    parser.add_argument("--jobs", type=int, default=2, help="mutants tested at a time (default 2)")
-    parser.add_argument("--first", nargs="*", default=[], help="test files to run before the rest")
-    parser.add_argument("--timeout", type=float, default=600.0, help="seconds per tier-1 run")
     parser.add_argument("--json", help="write the per-module ratios and the survivors here")
     args = parser.parse_args(argv)
-    if not 1 <= args.jobs <= 8:
-        parser.error("--jobs must lie in [1, 8]")
-    missing = [f for f in args.first if not (ROOT / f).is_file()]
-    if missing:  # pytest would fail on them, and every mutant would count as killed
-        parser.error(f"no such test file: {', '.join(missing)}")
 
     todo = mutants(args.module)
     if not todo:
@@ -196,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     start = time.monotonic()
-    survivors = sweep(todo, args.jobs, args.first, args.timeout, lambda line: print(line, flush=True))
+    survivors = sweep(todo, lambda line: print(line, flush=True))
     per_module = {}
     for m in todo:
         row = per_module.setdefault(m.path.stem, {"killed": 0, "total": 0, "compare": [0, 0], "int": [0, 0]})
