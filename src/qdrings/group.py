@@ -191,11 +191,13 @@ class GroupElement:
     ``_den > 0``; ``rational`` builds the ``Fraction`` on demand.  In a reduced
     group an override is kept only where it differs from the residue of the
     coefficient; in a nonreduced group every torsion coordinate is explicit.
-    The slot ``_pai`` memoises ``ring.principal_absolute_ideal`` of the element,
-    None until that is first asked for; equality, hashing and printing ignore it.
+    Two slots are memos, None until first asked for, and equality, hashing
+    and printing ignore them: ``_pai`` holds ``ring.principal_absolute_ideal``
+    of the element, and ``_fp`` holds the scale, rational and base support of
+    its free part (see ``_free_part``).
     """
 
-    __slots__ = ("_group", "_num", "_den", "_overrides", "_pai")
+    __slots__ = ("_group", "_num", "_den", "_overrides", "_pai", "_fp")
 
     def __init__(self, group: Qd1Group, num: int, den: int, overrides: dict[int, int]):
         self._group = group
@@ -203,6 +205,7 @@ class GroupElement:
         self._den = den
         self._overrides = overrides
         self._pai = None
+        self._fp = None
 
     @property
     def group(self) -> Qd1Group:
@@ -334,15 +337,19 @@ def _same_group(G: Qd1Group, *values) -> None:
             raise GroupMismatchError("arguments belong to different groups")
 
 
-def coordinate_residue(g: GroupElement, p: int) -> int:
-    """The torsion coordinate of g at a prime with finite positive cocharacteristic value."""
+def _coordinate_slot(G: Qd1Group, p: int) -> int:
+    """The slot of p in G; ValueError unless p is a prime with finite positive cocharacteristic value."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    q = g.group._slot(p)
+    q = G._slot(p)
     if not q:
-        k = g.group.cochar.value(p)
-        raise ValueError(f"prime {p} carries no finite torsion coordinate (cocharacteristic {k})")
-    return _residue(g, p, q)
+        raise ValueError(f"prime {p} carries no finite torsion coordinate (cocharacteristic {G.cochar.value(p)})")
+    return q
+
+
+def coordinate_residue(g: GroupElement, p: int) -> int:
+    """The torsion coordinate of g at a prime with finite positive cocharacteristic value."""
+    return _residue(g, p, _coordinate_slot(g.group, p))
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +393,18 @@ def height(g: GroupElement, p: int) -> ExtNat:
     """The p-height of g: the largest k with g divisible by p**k, INF if unbounded."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    k = g.group.cochar.value(p)
+    return _height(g, p)
+
+
+def _height(g: GroupElement, p: int) -> ExtNat:
+    # height without the primality test, for a p already known to be prime
+    G = g._group
+    k = G._cochar.value(p)
     if k == 0:
         return INF
     if k == INF:
         return INF if g._num == 0 else _int_vp(g._num, p) - _int_vp(g._den, p)
-    a = _residue(g, p, g.group._slot(p))
+    a = _residue(g, p, G._slot(p))
     return INF if a == 0 else _int_vp(a, p)
 
 
@@ -493,26 +506,38 @@ def decompose(g: GroupElement, support: AbstractSet[int] = frozenset()) -> Decom
     """Split g, in either group kind, into a free part against a punctured basis plus a torsion tail.
 
     The support is the overrides of g (every torsion coordinate in Q (+) Z_m),
-    the slot primes of its numerator, and the given primes, which must carry a
-    slot (else ValueError).  Enlarging it leaves scale and rational as they
-    are.  A torsion g is its own tail.
+    the slot primes of its numerator, and the given primes, which must be
+    primes that carry a slot (else ValueError).  Enlarging it leaves scale and
+    rational as they are.  A torsion g is its own tail.
     """
+    for p in support:
+        _coordinate_slot(g._group, p)
     scale, rational, support = _free_part(g, support)
     return Decomposition(scale, rational, _tail(g, support), support)
 
 
 def _free_part(g: GroupElement, support: AbstractSet[int]) -> tuple[int, Fraction, frozenset[int]]:
-    """Scale, rational and support of ``decompose(g, support)``, without building its tail."""
-    support = frozenset(g._overrides).union(support)
-    if is_torsion(g):
-        return 0, Fraction(0), support
-    scale = c_of(g)
-    return scale, g.rational / scale, support | _finite_positive_chi_divisors(g._group, g._num)
+    """Scale, rational and support of ``decompose(g, support)``, without building its tail.
+
+    Only the support depends on the given primes: the scale, the rational and
+    the base support (the overrides of g and the slot primes of its
+    numerator) are worked out once per element and memoised in ``g._fp``.
+    """
+    if g._fp is None:
+        base = frozenset(g._overrides)
+        if is_torsion(g):
+            g._fp = 0, Fraction(0), base
+        else:
+            scale = c_of(g)
+            g._fp = scale, Fraction(g._num, g._den * scale), base | _finite_positive_chi_divisors(g._group, g._num)
+    scale, rational, base = g._fp
+    return scale, rational, base.union(support)
 
 
 def _tail(g: GroupElement, support: frozenset[int]) -> GroupElement:
-    """The torsion part of g supported on the given primes."""
-    return _build(g._group, 0, 1, {p: coordinate_residue(g, p) for p in support})
+    """The torsion part of g supported on the given primes, which must be slot primes of its group."""
+    G = g._group
+    return _build(G, 0, 1, {p: _residue(g, p, G._slot(p)) for p in support})
 
 
 # ---------------------------------------------------------------------------

@@ -303,70 +303,109 @@ def random_nonzero_torsion(G: Qd1Group, rng: random.Random, cfg: TrialConfig) ->
 
 
 def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -> GroupElement:
-    """A member of the described subgroup, generated from the floor rather than by rejection."""
+    """A member of the described subgroup, generated from the floor rather than by rejection.
+
+    What the draws need besides the rng depends only on d and on the prime
+    list ``cfg.primes``, so it is worked out once per pair and memoised in
+    ``d._plans`` under that list: the torsion plan of the floor (of its
+    normalised torsion floor for ``G(eta)``) and, for ``G(eta)``, the steps of
+    ``_full_member``.  A descriptor used under two prime lists keeps a plan for
+    each, and draws as a fresh descriptor would.
+    """
+    plan = d._plans.get(cfg.primes)
+    if plan is None:
+        plan = d._plans[cfg.primes] = _plan(d, cfg.primes)
+    G = d.group
     if d.kind is DescriptorKind.TORSION:
-        return _torsion_member(d.group, d.eta, rng, cfg)
+        return _torsion_member(G, plan, rng)
     if d.kind is DescriptorKind.SUM:
         k = rng.randint(-6, 6)
-        t = _torsion_member(d.group, d.eta, rng, cfg)
+        t = _torsion_member(G, plan, rng)
         x = add(zmul(k, d.generator), t)
     else:
-        x = _full_member(d.group, d.eta, rng, cfg)
+        x = _full_member(G, plan, rng)
     if not contains(d, x):
-        raise InvariantError(f"member generator left {descriptor_str(d)}: {x}", cochar=d.group.cochar)
+        raise InvariantError(f"member generator left {descriptor_str(d)}: {x}", cochar=G.cochar)
     return x
 
 
-def _torsion_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
-    """A torsion element meeting the floor eta, built with ``_build`` like ``random_element``.
+def _plan(d: SubgroupDescriptor, primes: tuple[int, ...]) -> tuple:
+    """The torsion plan of d; for ``G(eta)``, that of its torsion floor and the steps of ``_full_member``.
 
-    Keys are prime by construction (``cfg.primes`` or checked exception primes
-    of the cocharacteristic and of eta), and ``p**v * randrange(q // p**v)``
-    lies in ``[0, q)`` for the slot q of p.
+    The primes visited are those of ``primes`` and the exception primes of
+    the cocharacteristic and of the floor, in increasing order, so every key
+    is prime: it was sieved or ``Characteristic`` checked it.
     """
+    G, eta = d.group, d.eta
     chi = G.cochar
-    ov = {}
-    for p in sorted(set(cfg.primes) | set(chi.exception_primes) | set(eta.exception_primes)):
+    if d.kind is not DescriptorKind.FULL:
+        return _torsion_plan(G, eta, primes)
+    steps = []  # (p, kind, p**v, room) in the order the draws consume the rng
+    for p in sorted(set(primes) | set(chi.exception_primes) | set(eta.exception_primes)):
+        k, v = chi.value(p), eta.value(p)
+        if k == INF:
+            if 0 < v < INF:
+                steps.append((p, "rho", p**v, 0))
+        elif k > 0:
+            q = G._slot(p)  # _build reads the memoised slot of every key
+            if v == INF:
+                steps.append((p, "zero", 0, 0))
+            else:
+                steps.append((p, "floor" if v > 0 else "maybe", p**v, q // p**v))
+    # the primes that may enter the denominator, and whether their cocharacteristic value is 0
+    den_steps = tuple((p, chi.value(p) == 0) for p in primes if chi.value(p) != INF)
+    return _torsion_plan(G, _normalize_torsion_eta(G, eta), primes), tuple(steps), den_steps
+
+
+def _torsion_plan(G: Qd1Group, eta: Characteristic, primes: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
+    """(p, p**v, slot // p**v) at each prime whose slot has room above the floor value v."""
+    chi = G.cochar
+    plan = []
+    for p in sorted(set(primes) | set(chi.exception_primes) | set(eta.exception_primes)):
         v = eta.value(p)
-        if not v < chi.value(p) < INF:
-            continue  # no slot, or an empty one under the floor
+        if v < chi.value(p) < INF:
+            plan.append((p, p**v, G._slot(p) // p**v))
+    return tuple(plan)
+
+
+def _torsion_member(G: Qd1Group, plan, rng) -> GroupElement:
+    """A torsion element meeting the floor of a torsion plan, built with ``_build`` like ``random_element``.
+
+    Keys are prime by construction (see ``_plan``), and ``p**v *
+    randrange(q // p**v)`` lies in ``[0, q)`` for the slot q of p.
+    """
+    ov = {}
+    for p, pv, room in plan:
         if rng.random() < 0.6:
-            ov[p] = p**v * rng.randrange(G._slot(p) // p**v)
+            ov[p] = pv * rng.randrange(room)
     return _build(G, 0, 1, ov)
 
 
-def _full_member(G: Qd1Group, eta: Characteristic, rng, cfg) -> GroupElement:
-    """An element meeting the floor eta, built with ``_build`` like ``random_element``.
+def _full_member(G: Qd1Group, plan, rng) -> GroupElement:
+    """An element meeting the floor eta of a ``G(eta)`` plan, built with ``_build`` like ``random_element``.
 
     Keys and residues are valid by construction, as in ``_torsion_member``.
     The coefficient stays two ints, rho and den, and the result goes through
     ``_check_denominator`` unless it is torsion.
     """
-    chi = G.cochar
+    torsion_plan, steps, den_steps = plan
     if rng.random() < 0.2:
         # torsion members satisfy any floor they meet on the torsion slots
-        return _torsion_member(G, _normalize_torsion_eta(G, eta), rng, cfg)
+        return _torsion_member(G, torsion_plan, rng)
     rho = rng.choice(_RHO_MAGNITUDES) * rng.choice([1, -1])
     forced: dict[int, int] = {}
-    relevant = sorted(set(cfg.primes) | set(chi.exception_primes) | set(eta.exception_primes))
-    for p in relevant:
-        k, v = chi.value(p), eta.value(p)
-        if k == INF:
-            if 0 < v < INF:
-                rho *= p ** (v + rng.choice([0, 0, 1]))
-        elif k > 0:
-            q = G._slot(p)  # _build reads the memoised slot of every key
-            if v == INF:
-                forced[p] = 0
-            elif v > 0:
-                forced[p] = p**v * rng.randrange(q // p**v)
-            elif rng.random() < 0.3:
-                forced[p] = rng.randrange(q)
+    for p, kind, pv, room in steps:
+        if kind == "rho":  # a divisible prime: rho takes p**v, p**v or p**(v+1)
+            rho *= pv * rng.choice((1, 1, p))
+        elif kind == "zero":  # floor inf on a slot
+            forced[p] = 0
+        elif kind == "floor" or rng.random() < 0.3:  # floor v > 0 always, floor 0 sometimes
+            forced[p] = pv * rng.randrange(room)
     den = 1
-    for p in cfg.primes:
-        k = chi.value(p)
-        if k == 0 and rng.random() < 0.25:
-            den *= p
+    for p, zero_value in den_steps:
+        if zero_value:
+            if rng.random() < 0.25:
+                den *= p
         elif p in forced and rng.random() < 0.25:
             den *= p
     return _check_denominator(_build(G, rho, den, forced))

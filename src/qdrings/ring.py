@@ -28,13 +28,13 @@ from .group import (
     GroupElement,
     Qd1Group,
     _build,
+    _check_denominator,
     _free_part,
     _quotient,
     _same_group,
     _tail,
     add,
     char_of,
-    decompose,
     is_integers,
     is_torsion,
     order,
@@ -249,23 +249,27 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     # support of g then holds every prime of g, m and b that carries a slot;
     # the tail of m is never read, so it is not built
     m_scale, m_frac, m_support = _free_part(m, b._overrides.keys())
-    dg = decompose(g, m_support)
-    r_frac = dg.rational
-    n = int(order(dg.tail))
-    w = torsion_witness(dg.tail, _tail(b, dg.support))
+    g_scale, r_frac, support = _free_part(g, m_support)
+    tail = _tail(g, support)
+    n = int(order(tail))
+    w = torsion_witness(tail, _tail(b, support))
 
-    combined = b.rational / dg.scale - w * r_frac
-    k1, k2 = combined.numerator, combined.denominator
-    x0, y0, gcd = bezout(m_scale, n * r_frac.numerator * k2)
+    # the free parts combine in ints: k1/k2 = b / g_scale - w * r in lowest terms, k2 > 0
+    rn, rd = r_frac.numerator, r_frac.denominator
+    k1 = b._num * rd - w * rn * b._den * g_scale
+    k2 = b._den * g_scale * rd
+    c = math.gcd(k1, k2)
+    k1, k2 = k1 // c, k2 // c
+    x0, y0, gcd = bezout(m_scale, n * rn * k2)
     if gcd != 1:
         raise InvariantError("support primes leaked into the Bezout step", cochar=G.cochar, m=m, g=g, b=b)
     x, y = x0 * k1, y0 * k1
-    z = Fraction(
-        r_frac.denominator * m_frac.denominator * x,
-        r_frac.numerator * m_frac.numerator * k2,
-    )
-    y_elt = G.elem(z, {p: 0 for p in dg.support})
-    k = n * y * r_frac.denominator + w
+    zn, zd = rd * m_frac.denominator * x, rn * m_frac.numerator * k2
+    if zd < 0:
+        zn, zd = -zn, -zd
+    # every support prime is a slot prime, so the zero coordinates need no check
+    y_elt = _check_denominator(_build(G, zn, zd, {p: 0 for p in support}))
+    k = n * y * rd + w
     if add(multiply(mult, g, y_elt), zmul(k, g)) != b:
         raise InvariantError("principal witness failed recomputation", cochar=G.cochar, m=m, g=g, b=b)
     return PrincipalWitness(y_elt, k)

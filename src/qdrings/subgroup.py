@@ -24,6 +24,7 @@ from .foundations import (
     INF,
     MAX_HEIGHT,
     Characteristic,
+    ExtNat,
     _expect,
     _int_vp,
     meet,
@@ -32,12 +33,12 @@ from .group import (
     GroupElement,
     Qd1Group,
     _build,
+    _height,
     _quotient,
     _same_group,
     add,
     canonical_elem_str,
     char_of,
-    height,
     is_integers,
     is_torsion,
     neg,
@@ -64,9 +65,16 @@ class DescriptorKind(enum.Enum):
 
 
 class SubgroupDescriptor:
-    """A normalized descriptor; build through full_inv, torsion_inv, or plus_cyclic."""
+    """A normalized descriptor; build through full_inv, torsion_inv, or plus_cyclic.
 
-    __slots__ = ("_group", "_kind", "_eta", "_generator")
+    Two slots are memos that equality and printing ignore.  ``_floor`` maps
+    each exception prime of eta and of the cocharacteristic to the eta value
+    there; it is None until ``contains`` first reads it.  ``_plans`` holds what
+    ``oracle.sample_member`` works out once per prime list: it is keyed by a
+    ``TrialConfig``'s ``primes``, as ``Qd1Group._draw_primes`` is.
+    """
+
+    __slots__ = ("_group", "_kind", "_eta", "_generator", "_floor", "_plans")
 
     def __init__(
         self,
@@ -79,6 +87,8 @@ class SubgroupDescriptor:
         self._kind = kind
         self._eta = eta
         self._generator = generator
+        self._floor: dict[int, ExtNat] | None = None
+        self._plans: dict[tuple[int, ...], tuple] = {}
 
     @property
     def group(self) -> Qd1Group:
@@ -191,16 +201,29 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
 # membership
 
 
-def _dominates(x: GroupElement, eta: Characteristic) -> bool:
-    """Whether char_of(x) >= eta, comparing heights only at the primes eta can name."""
-    chi = x.group.cochar
+def _dominates(x: GroupElement, d: SubgroupDescriptor) -> bool:
+    """Whether char_of(x) >= d.eta, comparing heights only at the primes eta can name.
+
+    Those are the primes of the memoised ``d._floor`` and the overrides of x,
+    where eta takes its default.  Every one is prime by construction, so the
+    heights skip the primality test.
+    """
+    eta = d._eta
+    chi = d._group._cochar
     if x._num != 0 and chi.default != 0 and eta.default != 0:
         return False  # the heights of x are 0 at all but finitely many primes
+    floor = d._floor
+    if floor is None:
+        floor = d._floor = {p: eta.value(p) for p in (*eta.exception_primes, *chi.exception_primes)}
     # elsewhere the height of x is inf, or eta is 0 there
-    for p in set(eta.exception_primes) | set(chi.exception_primes) | x._overrides.keys():
-        v = eta.value(p)
-        if v != 0 and height(x, p) < v:
+    for p, v in floor.items():
+        if v != 0 and _height(x, p) < v:
             return False
+    v = eta.default
+    if v != 0:
+        for p in x._overrides:
+            if p not in floor and _height(x, p) < v:
+                return False
     return True
 
 
@@ -215,11 +238,11 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
     """
     _same_group(d._group, x)
     if d.kind is DescriptorKind.FULL:
-        return _dominates(x, d.eta)
+        return _dominates(x, d)
     if d.kind is DescriptorKind.SUM and not is_torsion(x):
         # g is non-torsion: x - k*g is torsion only for k = x.rational / g.rational
         x = add(x, zmul(-_quotient(x, d.generator), d.generator))
-    return is_torsion(x) and _dominates(x, d.eta)
+    return is_torsion(x) and _dominates(x, d)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ from qdrings.group import (
     add,
     build_group,
     _check_denominator,
+    _free_part,
     _quotient,
     c_of,
     char_of,
+    coordinate_residue,
     decompose,
     height,
     is_integers,
@@ -36,7 +38,7 @@ from qdrings.group import (
     zmul,
 )
 from qdrings.oracle import TrialConfig, height_oracle, heights_agree, random_element, random_group
-from qdrings.ring import make_mult, multiply
+from qdrings.ring import make_mult, multiply, principal_absolute_ideal
 
 CHI_A = Characteristic(0, {2: 2, 3: INF})
 CHI_B = Characteristic(0, {2: 1})
@@ -521,6 +523,49 @@ def test_decompose_invariants_on_random_elements():
                 free = G.elem(d.scale * d.rational, {p: 0 for p in support})
                 tail = G.elem(0, {p: _coordinate(g, p) for p in support})
                 assert add(free, tail) == g
+
+
+def test_decompose_checks_the_support_it_is_given():
+    # the tail reads coordinates without coordinate_residue's checks, so decompose checks its
+    # primes first: 4 = 2**2 would otherwise get the slot 16 of the default value 2
+    G = build_group(Characteristic.parse("default=2;3:inf"))
+    g = G.elem(5)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        decompose(g, {4})
+    with pytest.raises(ValueError, match="^prime 3 carries no finite torsion coordinate"):
+        decompose(g, {3})
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        height(g, 4)
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        coordinate_residue(g, 4)
+    d = decompose(g, {7})
+    assert d.support == {5, 7} and d.recombine() == g
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.booleans())
+def test_element_memos_are_transparent(seed, reduced):
+    # principal_absolute_ideal fills _pai and _free_part fills _fp; an element with both filled
+    # compares, hashes and prints as a fresh one, and each support gets what a fresh element gets
+    rng = random.Random(seed)
+    G = random_group(rng, CFG, reduced=reduced)
+    g = random_element(G, rng, CFG, torsion=rng.random() < 0.3)
+    principal_absolute_ideal(g)
+    slot_primes = [p for p in CFG.primes if G._slot(p)]
+    for _ in range(4):
+        support = frozenset(p for p in slot_primes if rng.random() < 0.5)
+        fresh = G.elem(g.rational, g.overrides)
+        base = set(g.overrides)
+        if is_torsion(g):
+            expected = (0, 0, frozenset(base | support))
+        else:
+            base |= {p for p in factorization(g.rational.numerator) if G._slot(p)}
+            expected = (c_of(fresh), fresh.rational / c_of(fresh), frozenset(base | support))
+        assert _free_part(g, support) == _free_part(fresh, support) == expected
+    assert g._pai is not None and g._fp is not None
+    fresh = G.elem(g.rational, g.overrides)
+    assert g == fresh and hash(g) == hash(fresh)
+    assert str(g) == str(fresh) and repr(g) == repr(fresh)
 
 
 @settings(max_examples=300, deadline=None)

@@ -29,7 +29,7 @@ from qdrings.oracle import (
     sample_member,
 )
 from qdrings.ring import make_mult, principal_ideal
-from qdrings.subgroup import DescriptorKind, contains, full_inv, plus_cyclic, torsion_inv
+from qdrings.subgroup import DescriptorKind, SubgroupDescriptor, contains, full_inv, plus_cyclic, torsion_inv
 
 GA = build_group(Characteristic(0, {2: 2, 3: INF}))
 GB = build_group(Characteristic(0, {2: 1}))
@@ -153,6 +153,76 @@ def test_generators_build_what_the_public_constructor_builds(seed, reduced, size
         assert _check_denominator(x) is x
         for p, a in x.overrides.items():
             assert is_prime(p) and 0 <= a < G._slot(p)
+
+
+def test_descriptor_memos_are_transparent():
+    # contains fills _floor and sample_member fills _plans, one plan per prime list; a descriptor
+    # used under one list, then another, then the first again, draws as fresh descriptors do
+    wide, narrow = TrialConfig(seed=1, max_prime=13), TrialConfig(seed=1, max_prime=7)
+    rng = random.Random(41)
+    kinds = set()
+    for i in range(150):
+        G = random_group(rng, wide, reduced=i % 2 == 0)
+        g = random_element(G, rng, wide, torsion=rng.random() < 0.3)
+        m = random_element(G, rng, wide, torsion=rng.random() < 0.5)
+        d = principal_ideal(make_mult(G, m), g)
+        kinds.add(d.kind)
+
+        def fresh():
+            return SubgroupDescriptor(d.group, d.kind, d.eta, d.generator)
+
+        seed = rng.getrandbits(32)
+        used, unused = random.Random(seed), random.Random(seed)
+        for cfg in (wide, narrow, wide):
+            for _ in range(3):
+                b = sample_member(d, used, cfg)
+                assert b == sample_member(fresh(), unused, cfg) and contains(d, b)
+            x = random_element(G, used, cfg, torsion=used.random() < 0.5)
+            assert contains(d, x) == contains(fresh(), x)
+            assert x == random_element(G, unused, cfg, torsion=unused.random() < 0.5)
+        assert d._floor is not None and sorted(d._plans) == sorted([wide.primes, narrow.primes])
+        assert d == fresh() and str(d) == str(fresh()) and repr(d) == repr(fresh())
+    assert kinds == set(DescriptorKind)
+
+
+class _Scripted(random.Random):
+    """A Random whose random() and choice() give fixed answers and count their calls."""
+
+    def __init__(self, value: float, pick: int):
+        super().__init__(0)
+        self.value, self.pick = value, pick
+        self.calls = {"random": 0, "choice": 0}
+
+    def random(self):
+        self.calls["random"] += 1
+        return self.value
+
+    def choice(self, seq):
+        self.calls["choice"] += 1
+        return seq[self.pick]
+
+
+@pytest.mark.parametrize(
+    "reduced, pick, fallback",
+    [
+        (True, 0, "default=inf;2:2,3:1"),  # every draw has default 0, so none is reduced
+        (False, -1, "default=0;2:2,3:1"),  # every draw has default inf, so none is nonreduced
+        (None, -1, "default=inf;2:2,3:1"),  # with_torsion: default inf alone has no slot
+    ],
+)
+def test_random_group_falls_back_after_200_rejected_draws(reduced, pick, fallback):
+    rng = _Scripted(0.99, pick)  # 0.99 keeps every prime off the exceptions
+    G = random_group(rng, CFG, reduced=reduced, with_torsion=reduced is None)
+    assert rng.calls["choice"] == 200  # one choice of default per draw
+    assert G.cochar == Characteristic.parse(fallback)
+
+
+def test_random_nonzero_torsion_falls_back_after_100_zero_draws():
+    G = build_group(Characteristic.parse("default=0;2:2,3:1,5:1"))
+    rng = _Scripted(0.99, 0)  # 0.99 draws no coordinate, so every torsion draw is zero
+    g = random_nonzero_torsion(G, rng, CFG)
+    assert rng.calls["random"] == 100 * 3  # one coin at each slot prime 2, 3, 5 per draw
+    assert g == G.elem(0, {2: 1})
 
 
 def test_two_way_check_passes_on_sound_descriptors():

@@ -10,6 +10,7 @@ from qdrings.foundations import INF, MAX_HEIGHT, Characteristic, char_geq, prime
 from qdrings.group import add, build_group, char_of, is_torsion, zmul
 from qdrings.oracle import (
     TrialConfig,
+    height_oracle,
     random_characteristic,
     random_element,
     random_group,
@@ -191,6 +192,18 @@ def test_full_membership_matches_characteristic_comparison():
             assert contains(d, x) == expected
         for d in (torsion_inv(G, eta), SubgroupDescriptor(G, DescriptorKind.TORSION, eta)):
             assert contains(d, x) == (expected and is_torsion(x))
+
+
+def test_membership_reads_the_floor_default_at_overrides_outside_the_exceptions():
+    # 5 is no exception of the cocharacteristic or of the floor, so the floor there is its
+    # default v; a coordinate a at 5 has height v exactly when 5**v divides it and 5**(v+1) does not
+    G = build_group(Characteristic(3, {2: INF}))
+    for v in (1, 2):
+        d = torsion_inv(G, Characteristic(v))
+        assert d.eta.default == v and 5 not in d.eta.exception_primes
+        for a in range(125):
+            x = G.elem(0, {5: a})
+            assert contains(d, x) == (height_oracle(x, 5, 3) >= v)
 
 
 def test_membership_never_factors(monkeypatch):
