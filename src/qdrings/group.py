@@ -180,7 +180,7 @@ def build_group(cochar: Characteristic) -> Qd1Group:
 
 def is_integers(G: Qd1Group) -> bool:
     """Whether G is the group determined by the everywhere-infinite cocharacteristic."""
-    return G.cochar == Characteristic(INF)
+    return G._cochar.default == INF and not G._cochar._exceptions
 
 
 class GroupElement:
@@ -408,20 +408,34 @@ def _height(g: GroupElement, p: int) -> ExtNat:
     return INF if a == 0 else _int_vp(a, p)
 
 
+def _finite_height_primes(g: GroupElement) -> AbstractSet[int] | None:
+    """The primes where g can have finite height, or None when that is all but finitely many.
+
+    A height is inf at every prime with cocharacteristic value 0, and a
+    torsion g has height inf wherever it has no torsion override.  So the
+    primes are the override keys of a torsion g, and the exception primes of
+    the cocharacteristic for a non-torsion g when its default is 0.  A
+    non-torsion g in a group with a nonzero default has height 0 at every
+    prime that is not an exception, an override or a factor of its
+    numerator: ``char_of`` factors only then, and ``char_of(g) >= eta`` then
+    fails for a nonzero eta default and needs only eta's exception primes
+    otherwise.  Every returned key is prime.
+    """
+    if g._num == 0:
+        return g._overrides.keys()
+    chi = g._group._cochar
+    return chi._exceptions.keys() if chi.default == 0 else None
+
+
 def char_of(g: GroupElement) -> Characteristic:
-    """The full height profile of g as an eventually constant characteristic."""
-    chi = g.group.cochar
-    num = g._num
-    default_h: ExtNat = INF if (chi.default == 0 or num == 0) else 0
-    candidates = set(chi.exception_primes) | set(g._overrides)
-    if num != 0 and chi.default != 0:
-        candidates |= set(factorization(num))
-    exc = {}
-    for p in candidates:
-        h = height(g, p)
-        if h != default_h:
-            exc[p] = h
-    return Characteristic(default_h, exc)
+    """The full height profile of g; it factors only where ``_finite_height_primes`` says it must."""
+    primes = _finite_height_primes(g)
+    default_h: ExtNat = INF
+    if primes is None:
+        default_h = 0
+        primes = {*g._group._cochar.exception_primes, *g._overrides, *factorization(g._num)}
+    # every candidate is prime, so the heights skip the primality test
+    return Characteristic(default_h, {p: h for p in primes if (h := _height(g, p)) != default_h})
 
 
 def is_torsion(g: GroupElement) -> bool:

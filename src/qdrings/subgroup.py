@@ -8,11 +8,9 @@ at construction, which makes equality a finite structural comparison in
 every case.  In particular a ``SUM`` generator is non-torsion: a torsion
 summand is folded into the torsion part when the sum is built.
 
-Membership never factors.  Deciding ``char(x) >= eta`` needs heights only at
-the primes where eta or the cocharacteristic has an exception, or where x has
-a torsion override.  At every other prime the height of x is inf, unless x is
-non-torsion and the cocharacteristic default is nonzero; then the height is 0
-at all but finitely many primes, so a nonzero eta default excludes x.
+Membership never factors: deciding ``char(x) >= eta`` needs heights only at
+the primes that ``group._finite_height_primes(x)`` names, or at the exception
+primes of eta when it names none.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from .foundations import (
     INF,
     MAX_HEIGHT,
     Characteristic,
-    ExtNat,
     _expect,
     _int_vp,
     meet,
@@ -33,6 +30,7 @@ from .group import (
     GroupElement,
     Qd1Group,
     _build,
+    _finite_height_primes,
     _height,
     _quotient,
     _same_group,
@@ -67,14 +65,12 @@ class DescriptorKind(enum.Enum):
 class SubgroupDescriptor:
     """A normalized descriptor; build through full_inv, torsion_inv, or plus_cyclic.
 
-    Two slots are memos that equality and printing ignore.  ``_floor`` maps
-    each exception prime of eta and of the cocharacteristic to the eta value
-    there; it is None until ``contains`` first reads it.  ``_plans`` holds what
-    ``oracle.sample_member`` works out once per prime list: it is keyed by a
-    ``TrialConfig``'s ``primes``, as ``Qd1Group._draw_primes`` is.
+    The ``_plans`` slot is a memo that equality and printing ignore.  It
+    holds what ``oracle.sample_member`` works out once per prime list: it is
+    keyed by a ``TrialConfig``'s ``primes``, as ``Qd1Group._draw_primes`` is.
     """
 
-    __slots__ = ("_group", "_kind", "_eta", "_generator", "_floor", "_plans")
+    __slots__ = ("_group", "_kind", "_eta", "_generator", "_plans")
 
     def __init__(
         self,
@@ -87,7 +83,6 @@ class SubgroupDescriptor:
         self._kind = kind
         self._eta = eta
         self._generator = generator
-        self._floor: dict[int, ExtNat] | None = None
         self._plans: dict[tuple[int, ...], tuple] = {}
 
     @property
@@ -202,39 +197,26 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
 
 
 def _dominates(x: GroupElement, d: SubgroupDescriptor) -> bool:
-    """Whether char_of(x) >= d.eta, comparing heights only at the primes eta can name.
-
-    Those are the primes of the memoised ``d._floor`` and the overrides of x,
-    where eta takes its default.  Every one is prime by construction, so the
-    heights skip the primality test.
-    """
-    eta = d._eta
-    chi = d._group._cochar
-    if x._num != 0 and chi.default != 0 and eta.default != 0:
-        return False  # the heights of x are 0 at all but finitely many primes
-    floor = d._floor
-    if floor is None:
-        floor = d._floor = {p: eta.value(p) for p in (*eta.exception_primes, *chi.exception_primes)}
-    # elsewhere the height of x is inf, or eta is 0 there
-    for p, v in floor.items():
+    """Whether char_of(x) >= d.eta; heights are compared where ``_finite_height_primes`` allows them finite."""
+    floor, rest = d._eta._exceptions, d._eta._default
+    primes = _finite_height_primes(x)
+    if primes is None:
+        if rest != 0:
+            return False
+        primes = floor
+    for p in primes:
+        v = floor.get(p, rest)
         if v != 0 and _height(x, p) < v:
             return False
-    v = eta.default
-    if v != 0:
-        for p in x._overrides:
-            if p not in floor and _height(x, p) < v:
-                return False
     return True
 
 
 def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
     """Exact membership for any descriptor variant; never factors.
 
-    ``G(eta)`` and ``T(eta)`` compare heights of x with eta only at the
-    exception primes of eta and of the cocharacteristic and at the overrides
-    of x.  A non-torsion x in a group with nonzero cocharacteristic default
-    lies in neither when the eta default is nonzero.  A ``SUM`` reduces to its
-    torsion part once the right multiple of the generator is subtracted.
+    ``G(eta)`` and ``T(eta)`` compare the heights of x with eta only where
+    ``group._finite_height_primes`` allows them finite.  A ``SUM`` reduces to
+    its torsion part once the right multiple of the generator is subtracted.
     """
     _same_group(d._group, x)
     if d.kind is DescriptorKind.FULL:

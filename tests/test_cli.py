@@ -6,6 +6,7 @@ import io
 import json
 import pkgutil
 import random
+import re
 import runpy
 import sys
 
@@ -13,14 +14,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qdrings
-from qdrings import cli, errors, foundations
+from qdrings import cli, errors, foundations, suites
 from qdrings.cli import run
 from qdrings.errors import ParseError
 from qdrings.foundations import INF, MAX_HEIGHT, Characteristic
 from qdrings.group import Qd1Group, add, build_group, char_of, zmul
-from qdrings.oracle import TrialConfig, random_characteristic, random_element
-from qdrings.ring import make_mult, multiply, principal_absolute_ideal, principal_ideal
-from qdrings.subgroup import contains, descriptor_str, equals, parse_descriptor
+from qdrings.mutations import lowered_eta, product_dropping_m
+from qdrings.oracle import TrialConfig, random_characteristic, random_element, ring_axiom_check
+from qdrings.ring import make_mult, multiply, principal_absolute_ideal, principal_ideal, torsion_witness
+from qdrings.subgroup import contains, descriptor_str, equals, full_inv, parse_descriptor, torsion_inv
 
 CHI_A = "default=0;2:2,3:inf"
 
@@ -283,6 +285,71 @@ def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     assert out.strip() == "FAIL stub trials=1 fail_at=0 detail=synthetic failure"
 
 
+def _lowered(build):
+    return lambda *args: lowered_eta(build(*args))
+
+
+# each mutant replaces one name that a suite calls, and the checks it must make fail
+SUITE_MUTANTS = {
+    "ring-axioms-dropping-m": (
+        "ring-axioms", "ring_axiom_check",
+        lambda mult, cfg: ring_axiom_check(mult, cfg, product=product_dropping_m), {"ring-axioms"},
+    ),
+    "lemma2.2-lowered": ("lemma2.2", "torsion_inv", _lowered(torsion_inv), {"lemma2.2-witness"}),
+    "lemma2.2-witness-plus-one": (
+        "lemma2.2", "torsion_witness", lambda g, u: torsion_witness(g, u) + 1, {"lemma2.2-witness"},
+    ),
+    "lemma2.2-raised": (
+        "lemma2.2", "torsion_inv", lambda G, eta: torsion_inv(G, Characteristic(INF)), {"lemma2.2-multiples"},
+    ),
+    "lemma2.3-lowered": ("lemma2.3", "principal_ideal", _lowered(principal_ideal), {"lemma2.3-two-way"}),
+    "thm2.4-lowered": (
+        "thm2.4", "principal_ideal", _lowered(principal_ideal),
+        {"thm2.4-case1-ideal", "thm2.4-case2", "thm2.4-case3"},
+    ),
+    "thm2.4-full-is-everything": (
+        "thm2.4", "full_inv", lambda G, eta: full_inv(G, Characteristic(0)), {"thm2.4-case1-clause-reduced"},
+    ),
+    "thm2.4-full-is-torsion": ("thm2.4", "full_inv", torsion_inv, {"thm2.4-case1-clause-nonreduced"}),
+    "thm2.4-contains-nothing": ("thm2.4", "contains", lambda d, x: False, {"thm2.4-case1-clause-nonreduced"}),
+    "thm3.3-lowered": (
+        "thm3.3", "principal_absolute_ideal", _lowered(principal_absolute_ideal), {"thm3.3-principal-absolute"},
+    ),
+    "thm3.4-never-ai": (
+        "thm3.4", "is_ai_ring", lambda mult: False, {"thm3.4-integers", "thm3.4-classify", "thm3.4-witness"},
+    ),
+    "thm3.4-lowered": (
+        "thm3.4", "principal_absolute_ideal", _lowered(principal_absolute_ideal),
+        {"thm3.4-integers", "thm3.4-ai-ideals"},
+    ),
+    "mult-iso-doubled-m": ("mult-iso", "make_mult", lambda G, m: make_mult(G, add(m, m)), {"mult-iso-round-trip"}),
+    "mult-iso-dropping-m": ("mult-iso", "multiply", product_dropping_m, {"mult-iso-additivity"}),
+    "mult-iso-always-nai": ("mult-iso", "is_nai", lambda mult: True, {"mult-iso-nai-subgroup"}),
+}
+
+
+@pytest.mark.parametrize("suite, name, mutant, failing", SUITE_MUTANTS.values(), ids=SUITE_MUTANTS)
+def test_a_suite_reports_what_a_mutant_breaks(capsys, monkeypatch, suite, name, mutant, failing):
+    monkeypatch.setattr(suites, name, mutant)
+    argv = ("verify", "--suite", suite, "--seed", "3", "--trials", "10", "--samples", "10")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    shape = re.compile(r"FAIL (\S+) trials=\d+ fail_at=(\d+) detail=instance \2: .+")
+    fails = [shape.fullmatch(line) for line in out.splitlines() if line.startswith("FAIL")]
+    assert all(fails) and {m[1] for m in fails} == failing
+    code, out, _ = run_cli(capsys, *argv, "--format", "json-like-summary")
+    doc = json.loads(out)
+    assert code == 1 and doc["passed"] is False
+    failed = [c for c in doc["checks"] if not c["passed"]]
+    assert {c["check"] for c in failed} == failing
+    assert all(c["failures"][0].startswith(f"instance {c['fail_at']}: ") for c in failed)
+
+
+def test_an_unknown_suite_name_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'thm9.9'; choose from"):
+        suites.run_suite("thm9.9", TrialConfig(seed=1))
+
+
 # -- parse errors -------------------------------------------------------------------
 
 
@@ -293,6 +360,38 @@ def test_parse_errors_exit_two_with_positions(capsys):
     assert code == 2 and "position" in err
     code, _, err = run_cli(capsys, "elem", "info", "--cochar", CHI_A, "--elem", "x=1")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "cochar, text, pos, expected",
+    [
+        (CHI_A, "r=1/0", 4, "a nonzero denominator"),
+        ("default=0;2:1", "q=1/0;b=0", 4, "a nonzero denominator"),
+        (CHI_A, "r=1;2:1,2:3", 8, "a prime not listed before"),
+        ("default=0;2:1", "q=1;b=0x", 7, "end of input"),
+    ],
+    ids=["zero-denominator", "zero-denominator-nonreduced", "repeated-prime", "trailing-text"],
+)
+def test_malformed_elements_exit_two_with_positions(capsys, cochar, text, pos, expected):
+    code, out, err = run_cli(capsys, "elem", "info", "--cochar", cochar, "--elem", text)
+    assert code == 2 and out == ""
+    assert f"parse error at position {pos}: expected {expected}" in err
+
+
+@pytest.mark.parametrize(
+    "text, pos, expected",
+    [
+        ("G(eta=default=0)x", 16, "end of input"),
+        ("T(eta=default=0", 15, "')'"),
+        ("T(eta=default=0)+Z*r=1/0", 23, "a nonzero denominator"),
+        ("G(eta=default=x)", 14, "a digit"),
+    ],
+    ids=["trailing-text", "unclosed", "bad-generator", "bad-floor"],
+)
+def test_malformed_descriptors_report_positions_in_the_whole_text(text, pos, expected):
+    with pytest.raises(ParseError) as err:
+        parse_descriptor(text, build_group(Characteristic.parse(CHI_A)))
+    assert (err.value.text, err.value.pos, err.value.expected) == (text, pos, expected)
 
 
 def test_a_composite_key_passing_twelve_prime_bases_is_rejected(capsys):

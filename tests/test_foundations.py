@@ -113,6 +113,9 @@ def test_mod_inverse_examples():
     assert mod_inverse(5, 9) == 2
     with pytest.raises(ValueError):
         mod_inverse(6, 9)
+    for q in (0, -7):
+        with pytest.raises(ValueError, match=f"^modulus must be positive, got {q}$"):
+            mod_inverse(3, q)
 
 
 @given(st.integers(-10**12, 10**12), st.integers(1, 10**12))
@@ -131,6 +134,9 @@ def test_crt():
     assert crt([]) == (0, 1)
     with pytest.raises(ValueError):
         crt([(0, 4), (1, 6)])  # moduli share a factor
+    for q in (0, -7):
+        with pytest.raises(ValueError, match=f"^modulus must be positive, got {q}$"):
+            crt([(1, 4), (2, q)])
 
 
 # psi_k: the least odd composite that passes Miller-Rabin to each of the first k prime bases

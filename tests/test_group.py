@@ -6,6 +6,7 @@ iterated-division oracle reproduces them in the same test.
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,11 @@ def test_elem_basis_and_validation():
         GA.elem(0, {3: 1})
     with pytest.raises(ValueError):
         GA.elem(0, {4: 1})
+    for value in (1.5, Fraction(1), "1", True):  # coordinates and multiples are ints, not bools
+        with pytest.raises(ValueError, match=re.escape(f"override at 2 must be an integer, got {value!r}")):
+            GA.elem(0, {2: value})
+        with pytest.raises(ValueError, match=re.escape(f"integer multiple expected, got {value!r}")):
+            zmul(value, e)
 
 
 def test_invalid_denominator_with_two_large_primes_is_rejected_without_factoring(deadline, capsys):

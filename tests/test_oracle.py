@@ -29,7 +29,15 @@ from qdrings.oracle import (
     sample_member,
 )
 from qdrings.ring import make_mult, principal_ideal
-from qdrings.subgroup import DescriptorKind, SubgroupDescriptor, contains, full_inv, plus_cyclic, torsion_inv
+from qdrings.subgroup import (
+    DescriptorKind,
+    SubgroupDescriptor,
+    contains,
+    equals,
+    full_inv,
+    plus_cyclic,
+    torsion_inv,
+)
 
 GA = build_group(Characteristic(0, {2: 2, 3: INF}))
 GB = build_group(Characteristic(0, {2: 1}))
@@ -156,8 +164,8 @@ def test_generators_build_what_the_public_constructor_builds(seed, reduced, size
 
 
 def test_descriptor_memos_are_transparent():
-    # contains fills _floor and sample_member fills _plans, one plan per prime list; a descriptor
-    # used under one list, then another, then the first again, draws as fresh descriptors do
+    # sample_member fills _plans, one plan per prime list; a descriptor used under one list,
+    # then another, then the first again, draws as fresh descriptors do
     wide, narrow = TrialConfig(seed=1, max_prime=13), TrialConfig(seed=1, max_prime=7)
     rng = random.Random(41)
     kinds = set()
@@ -180,7 +188,7 @@ def test_descriptor_memos_are_transparent():
             x = random_element(G, used, cfg, torsion=used.random() < 0.5)
             assert contains(d, x) == contains(fresh(), x)
             assert x == random_element(G, unused, cfg, torsion=unused.random() < 0.5)
-        assert d._floor is not None and sorted(d._plans) == sorted([wide.primes, narrow.primes])
+        assert sorted(d._plans) == sorted([wide.primes, narrow.primes])
         assert d == fresh() and str(d) == str(fresh()) and repr(d) == repr(fresh())
     assert kinds == set(DescriptorKind)
 
@@ -328,6 +336,31 @@ def test_lowered_floor_is_detected_by_the_backward_direction():
     g = zmul(2, E)
     corrupted = lowered_eta(principal_ideal(mult, g))
     assert contains(corrupted, E)  # the corrupted descriptor wrongly admits the basis
+    report = ideal_two_way_check(mult, g, corrupted, CFG)
+    assert not report.passed
+    assert any("no certificate" in f for f in report.failures)
+
+
+@pytest.mark.parametrize(
+    "chi", [Characteristic(0, {2: 2, 3: 1, 5: INF}), Characteristic(0, {2: 2, 3: 1})], ids=["reduced", "nonreduced"]
+)
+@pytest.mark.parametrize(
+    "m, g, kind",
+    [
+        ({}, {2: 2, 3: 1}, DescriptorKind.TORSION),  # a torsion generator: T(char g)
+        ({2: 2}, None, DescriptorKind.SUM),  # the basis under a torsion square: T(char g*e) + Z*g
+    ],
+    ids=["torsion-generator", "torsion-square"],
+)
+def test_lowered_torsion_floor_is_detected_by_the_backward_direction(chi, m, g, kind):
+    G = build_group(chi)
+    mult = make_mult(G, G.elem(0, m) if m else G.basis_element())
+    g = G.elem(0, g) if g else G.basis_element()
+    sound = principal_ideal(mult, g)
+    corrupted = lowered_eta(sound)
+    assert sound.kind is corrupted.kind is kind
+    assert (sound.eta.value(2), corrupted.eta.value(2)) == (1, 0) and not equals(sound, corrupted)
+    assert ideal_two_way_check(mult, g, sound, CFG).passed
     report = ideal_two_way_check(mult, g, corrupted, CFG)
     assert not report.passed
     assert any("no certificate" in f for f in report.failures)

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdrings.errors import GroupMismatchError, UnsupportedCaseError
-from qdrings.foundations import INF, MAX_HEIGHT, Characteristic, char_geq, primes_up_to
+from qdrings.foundations import INF, MAX_HEIGHT, Characteristic, char_geq, factorization, is_prime, primes_up_to
 from qdrings.group import add, build_group, char_of, is_torsion, zmul
 from qdrings.oracle import (
     TrialConfig,
@@ -192,6 +193,85 @@ def test_full_membership_matches_characteristic_comparison():
             assert contains(d, x) == expected
         for d in (torsion_inv(G, eta), SubgroupDescriptor(G, DescriptorKind.TORSION, eta)):
             assert contains(d, x) == (expected and is_torsion(x))
+
+
+_ORACLE_CFG = TrialConfig(seed=0, max_prime=13, max_exp=4)
+_FLOOR_VALUES = st.sampled_from([*range(12), INF])
+
+
+def _oracle_heights(x, eta):
+    """height_oracle at every prime where x or eta can differ from the rest, plus one prime for the rest.
+
+    The primes are those of the config, the exceptions of the cocharacteristic and of eta, the
+    overrides of x and the primes of its coefficient; the next prime above them all stands for
+    every other prime, where cocharacteristic, eta and x look alike.  Returns None when x has a
+    finite height of 12 or more, where the capped oracle could not tell it from inf.
+    """
+    r = x.rational
+    primes = {*_ORACLE_CFG.primes, *x.group.cochar.exception_primes, *eta.exception_primes, *x.overrides}
+    for n in (abs(r.numerator), r.denominator):
+        if n > 1:
+            primes |= set(factorization(n))
+    if r.numerator and any(r.numerator % p**12 == 0 for p in primes):
+        return None  # slot heights stay below max_exp, so only a divisible prime can reach 12
+    rest = max(primes) + 1
+    while not is_prime(rest):
+        rest += 1
+    return {p: height_oracle(x, p, 12) for p in (*primes, rest)}
+
+
+def _oracle_member(kind, eta, generator, x):
+    """Whether x lies in the subgroup of that kind by definition; None when the oracle cannot tell.
+
+    ``G(eta)`` holds the x with every height at least eta, ``T(eta)`` the torsion ones among
+    them, and ``T(eta)+Z*generator`` the x that some integer multiple of the generator moves
+    into ``T(eta)``.
+    """
+    if kind is DescriptorKind.SUM:
+        k = x.rational / generator.rational  # the one multiple that can leave x - k*generator torsion
+        if k.denominator != 1:
+            return False
+        x = add(x, zmul(-int(k), generator))
+    if kind is not DescriptorKind.FULL and x.rational != 0:
+        return False
+    heights = _oracle_heights(x, eta)
+    if heights is None:
+        return None
+    # the oracle reads 12 exactly where the height is inf; every finite floor value is at most 11
+    return all(h == 12 if eta.value(p) == INF else h >= eta.value(p) for p, h in heights.items())
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.booleans(),
+    _FLOOR_VALUES,
+    st.dictionaries(st.sampled_from([2, 3, 5, 7, 13, 17]), _FLOOR_VALUES, max_size=4),
+)
+def test_membership_matches_the_height_oracle(seed, reduced, default, exceptions):
+    # an oracle of its own: heights by repeated division, never char_of or another closed form
+    cfg = _ORACLE_CFG
+    rng = random.Random(seed)
+    G = random_group(rng, cfg, reduced=reduced)
+    eta = Characteristic(default, exceptions)
+    g = random_element(G, rng, cfg)  # non-torsion, the generator of both sums
+    # each normalised descriptor next to a hand-built one that skips normalisation: both
+    # describe the subgroup the oracle defines from the drawn floor and generator
+    pairs = {
+        DescriptorKind.FULL: (full_inv(G, eta), SubgroupDescriptor(G, DescriptorKind.FULL, eta)),
+        DescriptorKind.TORSION: (torsion_inv(G, eta), SubgroupDescriptor(G, DescriptorKind.TORSION, eta)),
+        DescriptorKind.SUM: (
+            plus_cyclic(torsion_inv(G, eta), g),
+            SubgroupDescriptor(G, DescriptorKind.SUM, eta, g),
+        ),
+    }
+    elements = [random_element(G, rng, cfg, torsion=t) for t in (False, True)]
+    elements += [sample_member(normalised, rng, cfg) for normalised, _ in pairs.values()]
+    for kind, descriptors in pairs.items():
+        for x in elements:
+            expected = _oracle_member(kind, eta, g, x)
+            if expected is not None:
+                assert [contains(d, x) for d in descriptors] == [expected] * 2, (kind, x)
 
 
 def test_membership_reads_the_floor_default_at_overrides_outside_the_exceptions():
