@@ -261,7 +261,9 @@ class GroupElement:
 def _residue(g: GroupElement, p: int, q: int) -> int:
     # coordinate_residue without validation, for a prime whose slot q is known
     a = g._overrides.get(p)
-    return g._num * pow(g._den, -1, q) % q if a is None else a
+    if a is None:
+        return g._num % q if g._den == 1 else g._num * pow(g._den, -1, q) % q
+    return a
 
 
 def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
@@ -272,17 +274,21 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
     that have been through ``group._slot``.  The denominator is not validated
     here: ``elem``, ``elem_qb`` and the oracle's generators check it, and an
     arithmetic result inherits a valid one (see the module docstring).
+
+    An override a at p with slot q = p**k of a reduced group is dropped when
+    the coefficient implies it: when p does not divide den, den is a unit
+    modulo q, so a == num/den (mod q) is tested as a*den == num (mod q) with
+    no inverse.  When p divides den it does not divide num (lowest terms), so
+    the same test fails and the override is kept.
     """
-    d = math.gcd(num, den)
-    if d != 1:
+    if den != 1 and (d := math.gcd(num, den)) != 1:
         num //= d
         den //= d
     slots = group._slots
     ov = {}
     if group._modulus is None:
         for p, a in overrides.items():
-            q = slots[p]
-            if den % p == 0 or a != num * pow(den, -1, q) % q:
+            if (a * den - num) % slots[p]:
                 ov[p] = a  # not implied by the coefficient
     else:
         for p in group._torsion_keys:
@@ -291,7 +297,7 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
                 ov[p] = a
             elif den % p:
                 q = slots[p]
-                ov[p] = num * pow(den, -1, q) % q
+                ov[p] = num % q if den == 1 else num * pow(den, -1, q) % q
             else:
                 raise InvalidDenominatorError(
                     f"denominator prime {p} divides the torsion modulus; give the coordinate explicitly"
@@ -367,8 +373,8 @@ def add(g: GroupElement, h: GroupElement) -> GroupElement:
     for p in go.keys() | ho.keys():
         # h may come from an equal group object whose memo G has not filled
         q = slots.get(p) or G._slot(p)
-        a = go[p] if p in go else gn * pow(gd, -1, q)
-        b = ho[p] if p in ho else hn * pow(hd, -1, q)
+        a = go[p] if p in go else gn if gd == 1 else gn * pow(gd, -1, q)
+        b = ho[p] if p in ho else hn if hd == 1 else hn * pow(hd, -1, q)
         ov[p] = (a + b) % q
     return _build(G, gn * hd + hn * gd, gd * hd, ov)
 

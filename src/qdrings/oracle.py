@@ -274,7 +274,7 @@ def random_element(
     den = 1
     for p in slots:
         if rng.random() < 0.45:
-            ov[p] = rng.randrange(G._slot(p))
+            ov[p] = rng.randrange(G._slots[p])  # _draw_primes has filled the slot
             if not torsion and rng.random() < 0.3:
                 den *= p
     if torsion:

@@ -147,9 +147,9 @@ def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupE
     for p in o1.keys() | o2.keys() | om.keys():
         # the operands may come from an equal group object whose memo G has not filled
         q = slots.get(p) or G._slot(p)
-        a = o1[p] if p in o1 else n1 * pow(d1, -1, q) % q
-        b = o2[p] if p in o2 else n2 * pow(d2, -1, q) % q
-        c = om[p] if p in om else nm * pow(dm, -1, q) % q
+        a = o1[p] if p in o1 else n1 % q if d1 == 1 else n1 * pow(d1, -1, q) % q
+        b = o2[p] if p in o2 else n2 % q if d2 == 1 else n2 * pow(d2, -1, q) % q
+        c = om[p] if p in om else nm % q if dm == 1 else nm * pow(dm, -1, q) % q
         ov[p] = a * b * c % q
     return _build(G, n1 * n2 * nm, d1 * d2 * dm, ov)
 
@@ -297,17 +297,18 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
     # k = _quotient(b, g) can leave a torsion t; the tests below reject any other t
     k = _quotient(b, g)
     t = add(b, zmul(-k, g))
-    g_times_e = multiply(mult, g, G.basis_element())
-    if g_times_e == G.zero():
-        if t != G.zero():
+    e, zero = G.basis_element(), G.zero()
+    g_times_e = multiply(mult, g, e)
+    if g_times_e == zero:
+        if t != zero:
             return None
-        y = G.zero()
+        y = zero
     else:
         try:
             n = torsion_witness(g_times_e, t)
         except NotAMemberError:
             return None
-        y = zmul(n, G.basis_element())
+        y = zmul(n, e)
     if add(multiply(mult, g, y), zmul(k, g)) != b:
         raise InvariantError("membership witness failed recomputation", cochar=G.cochar, m=mult.m_elt, g=g, b=b)
     return PrincipalWitness(y, k)

@@ -24,6 +24,7 @@ from qdrings.group import (
     Qd1Group,
     add,
     build_group,
+    _build,
     _check_denominator,
     _free_part,
     _quotient,
@@ -234,6 +235,19 @@ def _fraction_coordinate(x, p, q):
     return r.numerator * pow(r.denominator, -1, q) % q
 
 
+def _assert_overrides_are_the_unimplied_coordinates(x, coordinates):
+    # coordinates: every candidate key of a reduced-group result with its coordinate there; an
+    # override must be stored exactly where the coefficient does not give that coordinate
+    assert x._overrides.keys() <= coordinates.keys()
+    for p, a in coordinates.items():
+        q = x._group._slots[p]
+        implied = None if x._den % p == 0 else x._num * pow(x._den, -1, q) % q
+        if p in x._overrides:
+            assert x._overrides[p] == a % q != implied
+        else:
+            assert a % q == implied
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**64), st.integers(-30, 30), st.booleans())
 def test_arithmetic_results_need_no_denominator_check(seed, n, reduced):
@@ -261,6 +275,8 @@ def test_arithmetic_results_need_no_denominator_check(seed, n, reduced):
         _assert_lowest_terms(x)
         assert x.rational == rational
         assert x == G.elem(rational, coordinates)
+        if reduced:
+            _assert_overrides_are_the_unimplied_coordinates(x, coordinates)
 
 
 def test_arithmetic_on_equal_group_objects_reads_slots_the_first_has_not_seen():
@@ -279,6 +295,45 @@ def test_arithmetic_on_equal_group_objects_reads_slots_the_first_has_not_seen():
         G1, G2, x, y = twins()
         assert 3 not in G1._slots and 2 not in G2._slots
         assert str(op(G1, G2, x, y)) == expected
+
+
+def test_build_keeps_an_override_exactly_where_the_coefficient_does_not_imply_it():
+    G = build_group(Characteristic(2))  # a slot p**2 at every prime
+    for p in (2, 3, 5):
+        q = G._slot(p)
+        # den 1; dens that are units at p; p | den; num/den not in lowest terms, as with
+        # 2/2 at p = 2 and a = 3, where a*den == num (mod 4) holds but 3 is not 2/2 = 1
+        for den in (1, 7, 2, 3, 12, 25, 2 * p, p * p):
+            for num in (*range(-7, 8), 2 * p, -3 * p * p, 10**40 + 1):
+                for a in range(q):
+                    x = _build(G, num, den, {p: a})
+                    assert x.rational == Fraction(num, den)
+                    _assert_lowest_terms(x)
+                    _assert_overrides_are_the_unimplied_coordinates(x, {p: a})
+    assert _build(G, 2, 2, {2: 3}).overrides == {2: 3}
+    assert _build(G, 1, 2, {2: 0}).overrides == {2: 0}
+
+
+def test_a_numerator_of_thousands_of_digits_is_cheap_in_add_and_multiply(deadline):
+    G = build_group(Characteristic(1, {2: 3, 3: 2, 7: 0}))  # slots 8, 9 and 5 at 2, 3 and 5
+    big = 10**3999 + 7  # odd, and 2 mod 3
+    x = G.elem(big, {5: 3})
+    y = G.elem(Fraction(-5, 6), {2: 1, 3: 4})
+    z = G.elem(-big * 3, {2: 5})
+    mult = make_mult(G, G.elem(Fraction(big, 7), {3: 0}))
+    keys = (2, 3, 5)
+    c = {w: {p: _fraction_coordinate(w, p, G._slot(p)) for p in keys} for w in (x, y, z, mult.m_elt)}
+    with deadline(2.0):
+        for _ in range(20):
+            for g, h in ((x, y), (x, z), (z, y), (x, x)):
+                total = add(g, h)
+                product = multiply(mult, g, h)
+                assert total.rational == g.rational + h.rational
+                assert product.rational == g.rational * h.rational * mult.m_elt.rational
+                _assert_overrides_are_the_unimplied_coordinates(total, {p: c[g][p] + c[h][p] for p in keys})
+                _assert_overrides_are_the_unimplied_coordinates(
+                    product, {p: c[g][p] * c[h][p] * c[mult.m_elt][p] for p in keys}
+                )
 
 
 @pytest.mark.parametrize(

@@ -18,7 +18,9 @@ Usage, from the root of the repository (stdlib only):
     python tools/mutsweep.py --module oracle                 # the sweep
     python tools/mutsweep.py --module oracle --json out.json # the sweep, with a report
 
-``--module`` keeps the modules whose file stem contains the given text.
+``--module`` keeps the one module whose file stem is the given name, and every
+module when it is empty (the default).  A sweep stopped with SIGTERM still
+removes its private copy of the tree.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import ast
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -81,7 +84,7 @@ def _sites(tree: ast.AST):
 def mutants(module_filter: str) -> list[Mutant]:
     out = []
     for path in sorted((ROOT / PACKAGE).glob("*.py")):
-        if module_filter not in path.stem:
+        if module_filter and path.stem != module_filter:
             continue
         tree = ast.parse(path.read_text(), str(path))
         for index, (node, _, _, kind, what) in enumerate(_sites(tree)):
@@ -116,6 +119,9 @@ def _pytest(tree: Path) -> bool:
 
 def sweep(todo: list[Mutant], log) -> list[Mutant]:
     """Run tier-1 against each mutant in a private copy of the tree; return the survivors."""
+    # SIGTERM raises SystemExit, so that the finally below removes the copy; subprocess.run
+    # kills a running tier-1 child on the way out
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     scratch = Path(tempfile.mkdtemp(prefix="mutsweep-"))
     tree = scratch / "tree"
     try:
@@ -144,18 +150,21 @@ def sweep(todo: list[Mutant], log) -> list[Mutant]:
         return survivors
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--module", default="", help="keep modules whose file stem contains this text")
+    parser.add_argument(
+        "--module", default="", help="keep only the module with this file stem, e.g. group; empty keeps every module"
+    )
     parser.add_argument("--list", action="store_true", help="list and compile the mutants; run no tests")
     parser.add_argument("--json", help="write the per-module ratios and the survivors here")
     args = parser.parse_args(argv)
 
     todo = mutants(args.module)
     if not todo:
-        parser.error(f"no mutation site in a module matching {args.module!r}")
+        parser.error(f"no mutation site in a module named {args.module!r}")
     if args.list:
         for m in todo:
             compile(mutated_source(m, m.path), str(m.path), "exec")  # each mutant still builds
