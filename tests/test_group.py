@@ -314,28 +314,6 @@ def test_build_keeps_an_override_exactly_where_the_coefficient_does_not_imply_it
     assert _build(G, 1, 2, {2: 0}).overrides == {2: 0}
 
 
-def test_a_numerator_of_thousands_of_digits_is_cheap_in_add_and_multiply(deadline):
-    G = build_group(Characteristic(1, {2: 3, 3: 2, 7: 0}))  # slots 8, 9 and 5 at 2, 3 and 5
-    big = 10**3999 + 7  # odd, and 2 mod 3
-    x = G.elem(big, {5: 3})
-    y = G.elem(Fraction(-5, 6), {2: 1, 3: 4})
-    z = G.elem(-big * 3, {2: 5})
-    mult = make_mult(G, G.elem(Fraction(big, 7), {3: 0}))
-    keys = (2, 3, 5)
-    c = {w: {p: _fraction_coordinate(w, p, G._slot(p)) for p in keys} for w in (x, y, z, mult.m_elt)}
-    with deadline(2.0):
-        for _ in range(20):
-            for g, h in ((x, y), (x, z), (z, y), (x, x)):
-                total = add(g, h)
-                product = multiply(mult, g, h)
-                assert total.rational == g.rational + h.rational
-                assert product.rational == g.rational * h.rational * mult.m_elt.rational
-                _assert_overrides_are_the_unimplied_coordinates(total, {p: c[g][p] + c[h][p] for p in keys})
-                _assert_overrides_are_the_unimplied_coordinates(
-                    product, {p: c[g][p] * c[h][p] * c[mult.m_elt][p] for p in keys}
-                )
-
-
 @pytest.mark.parametrize(
     "cochar, text, message",
     [

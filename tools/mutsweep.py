@@ -40,7 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "qdrings"
-COPIED = ("src", "tests", "pyproject.toml", "README.md")  # README.md holds the CLI examples a test replays
+# README.md holds the CLI examples a test replays, and tools/ this module, which a test loads
+COPIED = ("src", "tests", "tools", "pyproject.toml", "README.md")
 TIMEOUT = 600.0  # seconds per tier-1 run; a mutant that hangs (say, a loop that no longer ends) is killed
 SWAPS = {
     ast.Lt: ast.LtE,
