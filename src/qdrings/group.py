@@ -12,7 +12,9 @@ explicit, so one arithmetic core serves both kinds.  Only ``Qd1Group._slot(p)``
 decides whether a prime carries a torsion coordinate: it is the memoised modulus
 p**cochar(p) when that value is finite and positive, and 0, meaning no finite
 torsion coordinate, when it is 0 or inf.  A nonreduced group fills the memo when
-it is built.
+it is built.  Only ``_implied(num, den, q)`` states which coordinate mod q the
+coefficient num/den implies; ``add``, ``_build``, the ring product and the
+normal form of a descriptor all read it there.
 
 Denominators are validated where outside input comes in, in ``Qd1Group.elem``
 and ``Qd1Group.elem_qb`` (``parse_elem`` goes through them), and in the seeded
@@ -158,6 +160,8 @@ class Qd1Group:
         """Build a nonreduced element from its (rational, torsion residue) pair."""
         if self.is_reduced:
             raise UnsupportedCaseError("elem_qb applies to nonreduced groups only")
+        if isinstance(b, bool) or not isinstance(b, int):
+            raise ValueError(f"torsion residue must be an integer, got {b!r}")
         b %= self._modulus
         ov = {p: b % self._slot(p) for p in self._torsion_keys}
         r = Fraction(q)
@@ -258,12 +262,15 @@ class GroupElement:
         return self.rational, residue
 
 
+def _implied(num: int, den: int, q: int) -> int:
+    """The coordinate num/den implies mod q, for den a unit mod q; the one statement of that rule."""
+    return num % q if den == 1 else num * pow(den, -1, q) % q
+
+
 def _residue(g: GroupElement, p: int, q: int) -> int:
     # coordinate_residue without validation, for a prime whose slot q is known
     a = g._overrides.get(p)
-    if a is None:
-        return g._num % q if g._den == 1 else g._num * pow(g._den, -1, q) % q
-    return a
+    return _implied(g._num, g._den, q) if a is None else a
 
 
 def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
@@ -276,10 +283,10 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
     arithmetic result inherits a valid one (see the module docstring).
 
     An override a at p with slot q = p**k of a reduced group is dropped when
-    the coefficient implies it: when p does not divide den, den is a unit
-    modulo q, so a == num/den (mod q) is tested as a*den == num (mod q) with
-    no inverse.  When p divides den it does not divide num (lowest terms), so
-    the same test fails and the override is kept.
+    the coefficient implies it, ``a == _implied(num, den, q)``: when p does
+    not divide den, den is a unit modulo q, so that rule is tested as
+    a*den == num (mod q) with no inverse.  When p divides den it does not
+    divide num (lowest terms), so the same test fails and the override is kept.
     """
     if den != 1 and (d := math.gcd(num, den)) != 1:
         num //= d
@@ -296,8 +303,7 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
             if a is not None:
                 ov[p] = a
             elif den % p:
-                q = slots[p]
-                ov[p] = num % q if den == 1 else num * pow(den, -1, q) % q
+                ov[p] = _implied(num, den, slots[p])
             else:
                 raise InvalidDenominatorError(
                     f"denominator prime {p} divides the torsion modulus; give the coordinate explicitly"
@@ -373,8 +379,8 @@ def add(g: GroupElement, h: GroupElement) -> GroupElement:
     for p in go.keys() | ho.keys():
         # h may come from an equal group object whose memo G has not filled
         q = slots.get(p) or G._slot(p)
-        a = go[p] if p in go else gn if gd == 1 else gn * pow(gd, -1, q)
-        b = ho[p] if p in ho else hn if hd == 1 else hn * pow(hd, -1, q)
+        a = go[p] if p in go else _implied(gn, gd, q)
+        b = ho[p] if p in ho else _implied(hn, hd, q)
         ov[p] = (a + b) % q
     return _build(G, gn * hd + hn * gd, gd * hd, ov)
 

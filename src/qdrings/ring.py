@@ -30,6 +30,7 @@ from .group import (
     _build,
     _check_denominator,
     _free_part,
+    _implied,
     _quotient,
     _same_group,
     _tail,
@@ -147,9 +148,9 @@ def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupE
     for p in o1.keys() | o2.keys() | om.keys():
         # the operands may come from an equal group object whose memo G has not filled
         q = slots.get(p) or G._slot(p)
-        a = o1[p] if p in o1 else n1 % q if d1 == 1 else n1 * pow(d1, -1, q) % q
-        b = o2[p] if p in o2 else n2 % q if d2 == 1 else n2 * pow(d2, -1, q) % q
-        c = om[p] if p in om else nm % q if dm == 1 else nm * pow(dm, -1, q) % q
+        a = o1[p] if p in o1 else _implied(n1, d1, q)
+        b = o2[p] if p in o2 else _implied(n2, d2, q)
+        c = om[p] if p in om else _implied(nm, dm, q)
         ov[p] = a * b * c % q
     return _build(G, n1 * n2 * nm, d1 * d2 * dm, ov)
 

@@ -32,6 +32,7 @@ from .group import (
     _build,
     _finite_height_primes,
     _height,
+    _implied,
     _quotient,
     _same_group,
     add,
@@ -184,8 +185,9 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
             continue
         pv = p**v
         reduced = ov[p] % pv
-        # prefer the coordinate implied by the rational when the two agree
-        if g.group.is_reduced and g._den % p != 0 and g._num * pow(g._den, -1, pv) % pv == reduced:
+        # prefer the coordinate the rational implies when the two agree; at p | den it implies
+        # none, and the override that lets p divide den stays, even when pv is 1
+        if g.group.is_reduced and g._den % p != 0 and _implied(g._num, g._den, pv) == reduced:
             del ov[p]
         else:
             ov[p] = reduced

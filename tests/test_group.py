@@ -27,6 +27,7 @@ from qdrings.group import (
     _build,
     _check_denominator,
     _free_part,
+    _implied,
     _quotient,
     c_of,
     char_of,
@@ -102,6 +103,8 @@ def test_elem_basis_and_validation():
             GA.elem(0, {2: value})
         with pytest.raises(ValueError, match=re.escape(f"integer multiple expected, got {value!r}")):
             zmul(value, e)
+        with pytest.raises(ValueError, match=re.escape(f"torsion residue must be an integer, got {value!r}")):
+            GB.elem_qb(1, value)
 
 
 def test_invalid_denominator_with_two_large_primes_is_rejected_without_factoring(deadline, capsys):
@@ -133,6 +136,7 @@ def test_elem_normalizes_redundant_overrides():
 def test_nonreduced_elements_keep_full_coordinates():
     x = GB.elem_qb(1, 0)
     assert x.overrides == {2: 0}
+    assert GB.elem_qb(1) == x  # the residue defaults to 0
     assert x.as_pair() == (Fraction(1), 0)
     assert GB.elem_qb(Fraction(1, 2), 1).as_pair() == (Fraction(1, 2), 1)
     assert GB.elem(1) == GB.elem_qb(1, 1)  # the basis pairs the rational one with residue one
@@ -305,6 +309,8 @@ def test_build_keeps_an_override_exactly_where_the_coefficient_does_not_imply_it
         # 2/2 at p = 2 and a = 3, where a*den == num (mod 4) holds but 3 is not 2/2 = 1
         for den in (1, 7, 2, 3, 12, 25, 2 * p, p * p):
             for num in (*range(-7, 8), 2 * p, -3 * p * p, 10**40 + 1):
+                if den % p:  # the rule itself, against the Fraction coefficient's coordinate
+                    assert _implied(num, den, q) == _fraction_coordinate(_build(G, num, den, {}), p, q)
                 for a in range(q):
                     x = _build(G, num, den, {p: a})
                     assert x.rational == Fraction(num, den)
@@ -650,6 +656,9 @@ def test_elem_parse_print_round_trip_examples():
 def test_elem_parse_errors():
     with pytest.raises(ParseError) as err:
         GA.parse_elem("r=1;5:1")  # no finite slot at 5
+    assert err.value.pos == 4
+    with pytest.raises(ParseError) as err:
+        GA.parse_elem("r=1;4:0")  # 4 is not prime
     assert err.value.pos == 4
     with pytest.raises(ParseError) as err:
         GA.parse_elem("r=1;2:4")  # residue out of range
