@@ -5,6 +5,9 @@ Exit codes follow a shell-friendly contract: 0 for success and true verdicts,
 fails, a suite reporting FAIL), 2 for usage and parse errors, bounds beyond a
 documented cap, and integers Brent's method cannot split within its step budget,
 3 for an internal error: an answer that failed its own recomputation check.
+
+`run` builds the subparsers and arguments of one command only: the first argument
+that does not start with "-", which is the one argparse dispatches to.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ USAGE = 2
 INTERNAL = 3
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser; a named command alone gets its subparsers and arguments, None builds all."""
     parser = argparse.ArgumentParser(
         prog="qdrings",
         description="Exact calculator for rank-1 quotient divisible groups and the rings on them.",
@@ -46,56 +50,61 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     group_cmd = sub.add_parser("group", help="group-level queries")
-    group_sub = group_cmd.add_subparsers(dest="subcommand", required=True)
-    describe = group_sub.add_parser("describe", help="kind and shape of the group")
-    describe.add_argument("--cochar", required=True)
+    if command in (None, "group"):
+        group_sub = group_cmd.add_subparsers(dest="subcommand", required=True)
+        describe = group_sub.add_parser("describe", help="kind and shape of the group")
+        describe.add_argument("--cochar", required=True)
 
     elem_cmd = sub.add_parser("elem", help="element-level queries")
-    elem_sub = elem_cmd.add_subparsers(dest="subcommand", required=True)
-    info = elem_sub.add_parser("info", help="invariants of one element")
-    info.add_argument("--cochar", required=True)
-    info.add_argument("--elem", required=True)
+    if command in (None, "elem"):
+        elem_sub = elem_cmd.add_subparsers(dest="subcommand", required=True)
+        info = elem_sub.add_parser("info", help="invariants of one element")
+        info.add_argument("--cochar", required=True)
+        info.add_argument("--elem", required=True)
 
     ring_cmd = sub.add_parser("ring", help="ring-level queries")
-    ring_sub = ring_cmd.add_subparsers(dest="subcommand", required=True)
-    mul = ring_sub.add_parser("mul", help="product of two elements")
-    ideal = ring_sub.add_parser("ideal", help="principal ideal of an element")
-    classify = ring_sub.add_parser("classify", help="AI/FI classification of the ring")
-    witness = ring_sub.add_parser(
-        "witness",
-        help="with --g and --b, a principal-ideal membership witness; otherwise the non-absolute-ideal witness",
-    )
-    for p in (mul, ideal, classify, witness):
-        p.add_argument("--cochar", required=True)
-        p.add_argument("--m", required=True, help="defining element, the square of the basis")
-    mul.add_argument("--g", required=True)
-    mul.add_argument("--b", required=True, help="second factor")
-    ideal.add_argument("--g", required=True)
-    witness.add_argument("--g")
-    witness.add_argument("--b")
+    if command in (None, "ring"):
+        ring_sub = ring_cmd.add_subparsers(dest="subcommand", required=True)
+        mul = ring_sub.add_parser("mul", help="product of two elements")
+        ideal = ring_sub.add_parser("ideal", help="principal ideal of an element")
+        classify = ring_sub.add_parser("classify", help="AI/FI classification of the ring")
+        witness = ring_sub.add_parser(
+            "witness",
+            help="with --g and --b, a principal-ideal membership witness; otherwise the non-absolute-ideal witness",
+        )
+        for p in (mul, ideal, classify, witness):
+            p.add_argument("--cochar", required=True)
+            p.add_argument("--m", required=True, help="defining element, the square of the basis")
+        mul.add_argument("--g", required=True)
+        mul.add_argument("--b", required=True, help="second factor")
+        ideal.add_argument("--g", required=True)
+        witness.add_argument("--g")
+        witness.add_argument("--b")
 
     ai_cmd = sub.add_parser("ai", help="absolute-ideal queries")
-    ai_sub = ai_cmd.add_subparsers(dest="subcommand", required=True)
-    ai_ideal = ai_sub.add_parser("ideal", help="principal absolute ideal of an element")
-    ai_ideal.add_argument("--cochar", required=True)
-    ai_ideal.add_argument("--g", required=True)
+    if command in (None, "ai"):
+        ai_sub = ai_cmd.add_subparsers(dest="subcommand", required=True)
+        ai_ideal = ai_sub.add_parser("ideal", help="principal absolute ideal of an element")
+        ai_ideal.add_argument("--cochar", required=True)
+        ai_ideal.add_argument("--g", required=True)
 
     verify = sub.add_parser("verify", help="run a named randomized verification suite")
-    verify.add_argument("--suite", required=True, choices=sorted(SUITE_NAMES))
-    verify.add_argument("--seed", required=True, type=int, help="explicit seed for reproducibility")
-    verify.add_argument("--trials", type=int, default=100, help=f"instances drawn, at most {MAX_TRIALS}")
-    verify.add_argument(
-        "--max-prime", type=int, default=13, help=f"largest prime drawn, at most {MAX_PRIME_BOUND}"
-    )
-    verify.add_argument(
-        "--max-exp", type=int, default=4, help=f"largest exponent drawn, at most {MAX_EXPONENT}"
-    )
-    verify.add_argument(
-        "--samples", type=int, default=20, help=f"samples per instance, at most {MAX_SAMPLES}"
-    )
-    verify.add_argument(
-        "--format", choices=("text", "json-like-summary"), default="text", dest="format_"
-    )
+    if command in (None, "verify"):
+        verify.add_argument("--suite", required=True, choices=sorted(SUITE_NAMES))
+        verify.add_argument("--seed", required=True, type=int, help="explicit seed for reproducibility")
+        verify.add_argument("--trials", type=int, default=100, help=f"instances drawn, at most {MAX_TRIALS}")
+        verify.add_argument(
+            "--max-prime", type=int, default=13, help=f"largest prime drawn, at most {MAX_PRIME_BOUND}"
+        )
+        verify.add_argument(
+            "--max-exp", type=int, default=4, help=f"largest exponent drawn, at most {MAX_EXPONENT}"
+        )
+        verify.add_argument(
+            "--samples", type=int, default=20, help=f"samples per instance, at most {MAX_SAMPLES}"
+        )
+        verify.add_argument(
+            "--format", choices=("text", "json-like-summary"), default="text", dest="format_"
+        )
     return parser
 
 
@@ -202,7 +211,8 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    # a dash token that argparse takes as the command (-5, or one after --) fails at the top level
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

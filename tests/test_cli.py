@@ -492,6 +492,68 @@ def test_unknown_command_exits_two(capsys):
     assert run_cli(capsys, "ring", "mul", "--cochar", CHI_A)[0] == 2  # missing flags
 
 
+_SUBCOMMANDS = {"group": ["describe"], "elem": ["info"], "ring": ["mul", "ideal", "classify", "witness"],
+                "ai": ["ideal"], "verify": []}
+# every option of every command, two abbreviations (--c is unique where --cochar exists, --s is
+# ambiguous in verify), and unknown ones
+_OPTIONS = ["--cochar", "--elem", "--m", "--g", "--b", "--suite", "--seed", "--trials", "--max-prime",
+            "--max-exp", "--samples", "--format", "--c", "--s", "--foo", "-x", "-h", "--help"]
+_VALUES = [CHI_A, "default=0;2:1", "r=1", "r=0;2:1", "7", "-5", "", "x", "ring-axioms", "json-like-summary"]
+_STRAY = ["--", "-5", "", "-", "--foo", "-h", "nope", "verify"]
+# the options each command needs, with values it accepts
+_NEEDED = {"describe": ["--cochar", CHI_A], "info": ["--cochar", CHI_A, "--elem", "r=1"],
+           "mul": ["--cochar", CHI_A, "--m", "r=1", "--g", "r=1", "--b", "r=1"],
+           "classify": ["--cochar", CHI_A, "--m", "r=1"], "witness": ["--cochar", CHI_A, "--m", "r=1"],
+           "ideal": ["--cochar", CHI_A, "--m", "r=1", "--g", "r=1"], "verify": ["--suite", "ring-axioms", "--seed", "7"]}
+
+
+def _usage_argvs():
+    """A fixed list of argv lists: -h at every level, bad commands and options, stray tokens."""
+    argvs = [[], ["-h"], ["--foo", "verify", "--suite", "ring-axioms", "--seed", "1"], ["--", "ai"]]
+    for command, subs in _SUBCOMMANDS.items():
+        argvs += [[command], [command, "-h"], [command, "nope"], ["-5", command], ["--foo", command, "-h"]]
+        argvs += [[command, s, "-h"] for s in subs]
+    rng = random.Random(1907)
+    while len(argvs) < 400:
+        command = rng.choice([*_SUBCOMMANDS, *_SUBCOMMANDS, "frobnicate", ""])
+        argv = [command]
+        if _SUBCOMMANDS.get(command) and rng.random() < 0.8:
+            argv.append(rng.choice(_SUBCOMMANDS[command]))
+        if rng.random() < 0.5:
+            argv += _NEEDED.get(argv[-1], [])
+        for _ in range(rng.randrange(4)):
+            argv.append(rng.choice(_OPTIONS))
+            if rng.random() < 0.7:
+                argv.append(rng.choice(_VALUES))
+        for _ in range(rng.choice((0, 0, 1, 2))):  # before the command too
+            argv.insert(rng.randrange(len(argv) + 1), rng.choice(_STRAY))
+        argvs.append(argv)
+    return argvs
+
+
+def test_the_parser_of_one_command_prints_what_the_whole_parser_prints(capsys, monkeypatch):
+    # compared in-process: argparse words its messages differently from one Python version to the next
+    monkeypatch.setenv("COLUMNS", "80")
+    for key in cli._HANDLERS:  # a parse that succeeds prints its namespace instead of running
+        monkeypatch.setitem(cli._HANDLERS, key, lambda args: print(sorted(vars(args).items())) or 0)
+    build = cli._build_parser
+
+    def replay(argv, whole):
+        with monkeypatch.context() as m:
+            if whole:
+                m.setattr(cli, "_build_parser", lambda command: build(None))
+            code = cli.run(list(argv))
+        return code, *capsys.readouterr()
+
+    for argv in _usage_argvs():
+        assert replay(argv, False) == replay(argv, True), argv
+    built = []
+    monkeypatch.setattr(cli, "_build_parser", lambda command: built.append(command) or build(command))
+    assert cli.run(["--foo", "ai", "-h"]) == 0 and built == ["ai"]
+    args, extra = build("ai").parse_known_args(["ring", "mul"])
+    assert (args.command, extra) == ("ring", ["mul"])  # the other commands are left empty
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [

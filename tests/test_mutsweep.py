@@ -1,14 +1,20 @@
-"""Tests for tools/mutsweep.py: which modules a sweep takes, and what it leaves behind."""
+"""Tests for tools/mutsweep.py: which modules a sweep takes, its timeout, and what it leaves behind."""
 
 import ast
 import importlib.util
+import itertools
+import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
+import types
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 _spec = importlib.util.spec_from_file_location("mutsweep", TOOLS / "mutsweep.py")
@@ -58,3 +64,26 @@ def test_a_sweep_stopped_with_sigterm_removes_its_copy_of_the_tree(tmp_path, dea
             proc.send_signal(signal.SIGTERM)
             assert proc.wait() == 128 + signal.SIGTERM
     assert list(tmp_path.glob("mutsweep-*")) == []
+
+
+@pytest.mark.parametrize("unmutated_s, limit", [(10, 120.0), (50, 300.0)])
+def test_a_mutant_past_six_unmutated_runs_is_killed_by_timeout(tmp_path, monkeypatch, capsys, unmutated_s, limit):
+    # each reading moves the clock on by unmutated_s, which is so the time the unmutated run takes
+    clock = itertools.count(0, unmutated_s)
+    monkeypatch.setattr(mutsweep, "time", types.SimpleNamespace(monotonic=lambda: next(clock)))
+    limits = []
+
+    def stub(tree, timeout=None):
+        if timeout is None:  # the unmutated run
+            return True
+        limits.append(timeout)
+        raise subprocess.TimeoutExpired("pytest", timeout)
+
+    monkeypatch.setattr(mutsweep, "_pytest", stub)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    report = tmp_path / "report.json"
+    assert mutsweep.main(["--module", "__main__", "--json", str(report)]) == 0
+    assert limits == [limit]
+    assert "killed (timeout) src/qdrings/__main__.py:" in capsys.readouterr().out
+    row = json.loads(report.read_text())["modules"]["__main__"]
+    assert (row["killed"], row["timeouts"], row["total"]) == (1, 1, 1)

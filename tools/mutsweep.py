@@ -6,8 +6,9 @@ Each mutant changes one thing in one module:
     an int constant         n  ->  n + 1  and  n  ->  n - 1   (bools excluded)
 
 Every mutant is written into a private copy of the tree, one at a time, and
-tier-1 runs there with ``-x``; a failing run (or one past ``TIMEOUT`` seconds)
-kills the mutant.  The report gives killed/total per module and lists each
+tier-1 runs there with ``-x``; a failing run kills the mutant, and so does one
+past max(120 s, 6 times the unmutated run), logged ``killed (timeout)``.  The
+report gives killed/total per module, and how many died by timeout, and lists each
 survivor by file and line.  Before the sweep, the unmutated modules are put
 through the same parse-and-unparse step and must pass, so that a survivor is
 never an artefact of the rewriting.
@@ -42,7 +43,6 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = Path("src") / "qdrings"
 # README.md holds the CLI examples a test replays, and tools/ this module, which a test loads
 COPIED = ("src", "tests", "tools", "pyproject.toml", "README.md")
-TIMEOUT = 600.0  # seconds per tier-1 run; a mutant that hangs (say, a loop that no longer ends) is killed
 SWAPS = {
     ast.Lt: ast.LtE,
     ast.LtE: ast.Lt,
@@ -107,19 +107,18 @@ def mutated_source(mutant: Mutant | None, path: Path) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def _pytest(tree: Path) -> bool:
-    """True when tier-1 passes in tree."""
+def _pytest(tree: Path, timeout: float | None = None) -> bool:
+    """True when tier-1 passes in tree; raises subprocess.TimeoutExpired past timeout seconds."""
     env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"]
-    try:
-        done = subprocess.run(argv, cwd=tree, env=env, timeout=TIMEOUT, capture_output=True)
-    except subprocess.TimeoutExpired:
-        return False
-    return done.returncode == 0
+    return subprocess.run(argv, cwd=tree, env=env, timeout=timeout, capture_output=True).returncode == 0
 
 
-def sweep(todo: list[Mutant], log) -> list[Mutant]:
-    """Run tier-1 against each mutant in a private copy of the tree; return the survivors."""
+def sweep(todo: list[Mutant], log) -> dict[Mutant, str]:
+    """Run tier-1 against each mutant in a private copy of the tree; map each to its verdict.
+
+    The verdict is "killed", "killed (timeout)" or "SURVIVED", as the log line gives it.
+    """
     # SIGTERM raises SystemExit, so that the finally below removes the copy; subprocess.run
     # kills a running tier-1 child on the way out
     previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
@@ -135,20 +134,24 @@ def sweep(todo: list[Mutant], log) -> list[Mutant]:
         paths = sorted({m.path for m in todo})
         for path in paths:  # the unmutated rewrite must pass, or no verdict below means anything
             (tree / path).write_text(mutated_source(None, path))
+        start = time.monotonic()
         if not _pytest(tree):
             raise SystemExit("error: tier-1 fails on the unparsed, unmutated modules")
+        # a mutant can hang tier-1 (say, a loop that no longer ends): it is killed at this limit
+        timeout = max(120.0, 6 * (time.monotonic() - start))
         for path in paths:
             shutil.copy2(ROOT / path, tree / path)
 
-        survivors = []
+        verdicts = {}
         for mutant in todo:
             (tree / mutant.path).write_text(mutated_source(mutant, mutant.path))
-            killed = not _pytest(tree)
+            try:
+                verdicts[mutant] = "SURVIVED" if _pytest(tree, timeout) else "killed"
+            except subprocess.TimeoutExpired:
+                verdicts[mutant] = "killed (timeout)"
             shutil.copy2(ROOT / mutant.path, tree / mutant.path)
-            if not killed:
-                survivors.append(mutant)
-            log(f"{'killed  ' if killed else 'SURVIVED'} {mutant.path}:{mutant.line}: {mutant.what}")
-        return survivors
+            log(f"{verdicts[mutant]:8} {mutant.path}:{mutant.line}: {mutant.what}")
+        return verdicts
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
         signal.signal(signal.SIGTERM, previous)
@@ -174,19 +177,23 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     start = time.monotonic()
-    survivors = sweep(todo, lambda line: print(line, flush=True))
+    verdicts = sweep(todo, lambda line: print(line, flush=True))
+    survivors = [m for m in todo if verdicts[m] == "SURVIVED"]
     per_module = {}
     for m in todo:
-        row = per_module.setdefault(m.path.stem, {"killed": 0, "total": 0, "compare": [0, 0], "int": [0, 0]})
-        killed = m not in survivors
+        row = per_module.setdefault(
+            m.path.stem, {"killed": 0, "timeouts": 0, "total": 0, "compare": [0, 0], "int": [0, 0]}
+        )
+        killed = verdicts[m] != "SURVIVED"
         row["killed"] += killed
+        row["timeouts"] += verdicts[m] == "killed (timeout)"
         row["total"] += 1
         row[m.kind][0] += killed  # [killed, total] for one kind of mutant
         row[m.kind][1] += 1
     print()
     for name, row in per_module.items():
         print(
-            f"{name}: {row['killed']}/{row['total']} killed "
+            f"{name}: {row['killed']}/{row['total']} killed, {row['timeouts']} by timeout "
             f"(comparisons {row['compare'][0]}/{row['compare'][1]}, int constants {row['int'][0]}/{row['int'][1]})"
         )
     for m in survivors:
