@@ -222,12 +222,18 @@ _TRIAL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
 # Polynomial steps Brent's method may take over one factorization, every split and constant c
 # included: ample for factors up to about 10**9, too few for two 22-digit primes.
 _BRENT_STEPS = 2**18
+# A cofactor above _SHORT_BRENT_BITS gets _SHORT_BRENT_STEPS of Brent before its primality test:
+# the one Miller-Rabin pow on 3000 digits takes seconds, while a factor up to about 10**4 falls
+# out of those steps in milliseconds.
+_SHORT_BRENT_BITS = 1000
+_SHORT_BRENT_STEPS = 512
 
 
 def _brent_split(n: int, budget: int) -> tuple[int, int]:
-    """A nontrivial divisor of an odd composite n by Brent's cycle method, and the budget left.
+    """A nontrivial divisor of an odd n by Brent's cycle method, and the budget left.
 
-    Raises FactorizationBudgetError rather than take more than `budget` polynomial steps.
+    The divisor is 1 when the next round would take more than `budget` polynomial steps, which
+    it always does for a prime n.
     """
     c = 0
     while True:
@@ -235,12 +241,9 @@ def _brent_split(n: int, budget: int) -> tuple[int, int]:
         y, r, q, g = 2, 1, 1, 1
         x = ys = y
         while g == 1:
-            budget -= 2 * r  # the r steps that move x on, and at most r more to look for a cycle
-            if budget < 0:
-                raise FactorizationBudgetError(
-                    f"Brent's method did not split the {len(str(n))}-digit composite {n} "
-                    f"within {_BRENT_STEPS} steps"
-                )
+            if budget < 2 * r:  # the r steps that move x on, and at most r more to look for a cycle
+                return 1, budget
+            budget -= 2 * r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -292,7 +295,9 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 
     Each cofactor first sheds the primes found so far, then is tested for a
     perfect power, so that p**k costs a few roots rather than k splits and k
-    primality tests on numbers of up to k*log p digits.
+    primality tests on numbers of up to k*log p digits.  A cofactor of more than
+    _SHORT_BRENT_BITS bits then gets a short Brent attempt before its primality
+    test; every Brent step is charged to the one budget of _BRENT_STEPS.
     """
     budget = _BRENT_STEPS
     found: list[int] = []
@@ -309,21 +314,33 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
         r, k = _perfect_power(n)
         if k > 1:
             pending.append((r, k * e))
-        elif n < _TRIAL_BOUND**2 or is_prime(n):
-            out[n] = out.get(n, 0) + e
-            found.append(n)
-        else:
+            continue
+        d = 1
+        if n.bit_length() > _SHORT_BRENT_BITS:
+            steps = min(budget, _SHORT_BRENT_STEPS)
+            d, left = _brent_split(n, steps)
+            budget -= steps - left
+        if d == 1:
+            if n < _TRIAL_BOUND**2 or is_prime(n):
+                out[n] = out.get(n, 0) + e
+                found.append(n)
+                continue
             d, budget = _brent_split(n, budget)
-            d = min(d, n // d)  # the smaller part next, so that a prime it holds leaves the other
-            pending += ((n // d, e), (d, e))
+            if d == 1:
+                raise FactorizationBudgetError(
+                    f"Brent's method did not split the {len(str(n))}-digit composite {n} "
+                    f"within {_BRENT_STEPS} steps"
+                )
+        d = min(d, n // d)  # the smaller part next, so that a prime it holds leaves the other
+        pending += ((n // d, e), (d, e))
 
 
 def factorization(n: int) -> dict[int, int]:
     """Prime factorization of abs(n) as an exponent map; n must be nonzero.
 
     Trial division by the primes below 2**10, then, for each cofactor, integer roots for a
-    perfect power, Miller-Rabin, and Brent's method within a fixed step budget
-    (FactorizationBudgetError when it runs out).
+    perfect power, a short Brent attempt when it has more than 1000 bits, Miller-Rabin, and
+    Brent's method within a fixed step budget (FactorizationBudgetError when it runs out).
     """
     if n == 0:
         raise ValueError("0 has no prime factorization")

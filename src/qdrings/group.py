@@ -227,7 +227,7 @@ class GroupElement:
         if not isinstance(other, GroupElement):
             return NotImplemented
         return (
-            self._group == other._group
+            (self._group is other._group or self._group == other._group)
             and self._num == other._num
             and self._den == other._den
             and self._overrides == other._overrides
@@ -376,7 +376,7 @@ def add(g: GroupElement, h: GroupElement) -> GroupElement:
     hn, hd, ho = h._num, h._den, h._overrides
     slots = G._slots
     ov = {}
-    for p in go.keys() | ho.keys():
+    for p in {*go, *ho}:
         # h may come from an equal group object whose memo G has not filled
         q = slots.get(p) or G._slot(p)
         a = go[p] if p in go else _implied(gn, gd, q)

@@ -266,26 +266,28 @@ def random_element(
     ``G.elem``, which hold by construction: every key is a slot prime of
     ``_draw_primes``, so it comes from the sieved ``cfg.primes`` or is an
     exception prime that ``Characteristic`` has checked, and every residue is
-    ``randrange`` of its slot.  A torsion result has denominator 1; any other
+    drawn below its slot.  A torsion result has denominator 1; any other
     result goes through ``_check_denominator``.
     """
     slots, zero_primes, inf_primes = _draw_primes(G, cfg)
+    # on CPython 3.10-3.13 randrange(n), choice(s), randint(1, b) are below(n), s[below(len(s))], 1 + below(b)
+    rand, below = rng.random, rng._randbelow
     ov = {}
     den = 1
     for p in slots:
-        if rng.random() < 0.45:
-            ov[p] = rng.randrange(G._slots[p])  # _draw_primes has filled the slot
-            if not torsion and rng.random() < 0.3:
+        if rand() < 0.45:
+            ov[p] = below(G._slots[p])  # _draw_primes has filled the slot
+            if not torsion and rand() < 0.3:
                 den *= p
     if torsion:
         return _build(G, 0, 1, ov)
     for p in zero_primes:
-        if rng.random() < 0.25:
+        if rand() < 0.25:
             den *= p
-    num = rng.choice(_NONZERO_NUMERATORS)
+    num = _NONZERO_NUMERATORS[below(len(_NONZERO_NUMERATORS))]
     for p in inf_primes:
-        if rng.random() < 0.3:
-            num *= p ** rng.randint(1, cfg.max_exp)
+        if rand() < 0.3:
+            num *= p ** (1 + below(cfg.max_exp))
     return _check_denominator(_build(G, num, den, ov))
 
 

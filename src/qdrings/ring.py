@@ -20,9 +20,7 @@ from .foundations import (
     INF,
     Characteristic,
     bezout,
-    crt,
     iter_primes,
-    mod_inverse,
 )
 from .group import (
     GroupElement,
@@ -145,7 +143,7 @@ def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupE
     nm, dm, om = m._num, m._den, m._overrides
     slots = G._slots
     ov = {}
-    for p in o1.keys() | o2.keys() | om.keys():
+    for p in {*o1, *o2, *om}:
         # the operands may come from an equal group object whose memo G has not filled
         q = slots.get(p) or G._slot(p)
         a = o1[p] if p in o1 else _implied(n1, d1, q)
@@ -201,9 +199,10 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     Built one prime at a time: the coordinate a of g is a unit times the prime
     power d = gcd(a, q) of its slot q, so u is a multiple of g exactly when u is
     torsion, is 0 wherever g is, and has a coordinate divisible by d at every
-    slot of g; otherwise NotAMemberError.  Inverting the unit modulo q/d pins n
-    down there; the congruences combine by the Chinese remainder theorem, and
-    the result is verified by recomputation.  A zero u gets the order of g.
+    slot of g; otherwise NotAMemberError.  The unit pins n down modulo q/d, and
+    the congruences combine by the Chinese remainder theorem as they come, with
+    one inverse per slot; the result is verified by recomputation.  A zero u
+    gets the order of g.
     """
     if not is_torsion(g):
         raise UnsupportedCaseError("torsion_witness needs a torsion base element")
@@ -211,7 +210,7 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     _same_group(G, u)
     if not is_torsion(u) or not u._overrides.keys() <= g._overrides.keys():
         raise NotAMemberError(f"{u} is not an integer multiple of {g}")
-    congruences = []
+    n, M = 0, 1  # n in [0, M) solves the congruences of the slots seen so far
     for p, a in g._overrides.items():
         q = G._slot(p)
         d = math.gcd(a, q)  # the p-power part of a; q when a = 0, which leaves n free modulo 1
@@ -219,11 +218,12 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
         c, r = divmod(u._overrides.get(p, 0), d)  # a torsion u is 0 wherever it has no override
         if r:
             raise NotAMemberError(f"{u} is not an integer multiple of {g}")
-        congruences.append((c * mod_inverse(a // d, modulus) % modulus, modulus))
-    n, _ = crt(congruences)
+        # (a/d)*(n + M*t) = c (mod q/d), solved for t with one inverse; pow(x, -1, 1) is 0
+        n += M * ((c - a // d * n) * pow(a // d * M, -1, modulus) % modulus)
+        M *= modulus
     if zmul(n, g) != u:
         raise InvariantError("torsion witness failed recomputation", cochar=G.cochar, g=g, u=u)
-    return n or int(order(g))
+    return n or M  # M is the order of g
 
 
 def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -> PrincipalWitness | None:

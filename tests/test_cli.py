@@ -133,6 +133,13 @@ def test_factoring_beyond_the_brent_budget_exits_two(capsys, deadline, argv):
     assert err.startswith("error: ") and "did not split" in err
 
 
+def test_elem_info_of_a_3110_digit_composite_answers_at_once(capsys, deadline):
+    with deadline(1.0):
+        code, out, _ = run_cli(capsys, "elem", "info", "--cochar", "default=7", "--elem", f"r={1031**1031 * 1033}")
+    assert code == 0
+    assert out.splitlines()[1:] == ["char=default=0;1031:inf,1033:1", "order=inf", "torsion=false", "c=1"]
+
+
 def test_elem_info_of_a_4001_digit_prime_power_answers_at_once(capsys, deadline):
     with deadline(1.0):
         code, out, _ = run_cli(capsys, "elem", "info", "--cochar", "default=7", "--elem", f"r={10007**1000}")

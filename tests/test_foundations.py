@@ -242,6 +242,18 @@ def test_prime_exponents_above_the_trial_primes_are_tried(deadline):
         assert factorization(1031**1031) == {1031: 1031}
 
 
+def test_a_long_composite_is_split_before_its_primality_test(deadline):
+    # the 3110-digit cofactor is no perfect power; one Miller-Rabin pow on it takes seconds
+    with deadline(0.5):
+        assert factorization(1031**1031 * 1033) == {1031: 1031, 1033: 1}
+
+
+def test_a_long_prime_survives_the_short_brent_attempt(deadline):
+    m4253 = 2**4253 - 1  # a 1281-digit Mersenne prime
+    with deadline(2.0):
+        assert factorization(m4253) == {m4253: 1}
+
+
 def test_found_primes_are_divided_out_of_later_cofactors(monkeypatch):
     # without the division the cofactors shed about one prime per split (52 calls here)
     splits = []

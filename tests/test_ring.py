@@ -70,8 +70,11 @@ def test_multiply_nonreduced_acts_summandwise():
     x = GB.elem_qb(Fraction(1, 3), 1)
     y = GB.elem_qb(Fraction(5), 1)
     assert multiply(mult, x, y) == GB.elem_qb(Fraction(10, 3), 1)
+    # a foreign factor is refused on either side
     with pytest.raises(GroupMismatchError):
         multiply(mult, x, E)
+    with pytest.raises(GroupMismatchError):
+        multiply(mult, E, x)
 
 
 def test_ring_laws_on_random_instances():
@@ -234,8 +237,9 @@ def test_torsion_witness_decides_membership_like_the_torsion_descriptor(seed, mu
         return
     n = torsion_witness(g, u)
     assert zmul(n, g) == u
-    if u == G.zero():
-        assert n == order(g)
+    # the canonical witness: reduced modulo the order of g, with 0 given as the order itself
+    assert 1 <= n <= order(g)
+    assert (n == order(g)) == (u == G.zero())
 
 
 def test_certify_member_covers_all_cases():
