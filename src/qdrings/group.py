@@ -2,19 +2,20 @@
 
 A group is determined by its cocharacteristic.  For a nonzero type the group
 is reduced and lives inside a product of cyclic p-adic modules generated by
-one coordinate per prime; an element is stored as the coefficient num/den of
-the basis, two ints in lowest terms with den > 0, plus finitely many
-torsion-coordinate overrides at primes whose cocharacteristic value is finite
-and positive.  The coefficient is a ``Fraction`` only when ``.rational`` asks
-for one, so the arithmetic core combines plain ints.  For the zero type the group
-is Q (+) Z_m and the same storage is used with every torsion coordinate kept
-explicit, so one arithmetic core serves both kinds.  Only ``Qd1Group._slot(p)``
-decides whether a prime carries a torsion coordinate: it is the memoised modulus
-p**cochar(p) when that value is finite and positive, and 0, meaning no finite
-torsion coordinate, when it is 0 or inf.  A nonreduced group fills the memo when
-it is built.  Only ``_implied(num, den, q)`` states which coordinate mod q the
-coefficient num/den implies; ``add``, ``_build``, the ring product and the
-normal form of a descriptor all read it there.
+one coordinate per prime; for the zero type it is Q (+) Z_m.  An element of
+either kind is stored the same way: the coefficient num/den of the basis, two
+ints in lowest terms with den > 0, plus finitely many torsion-coordinate
+overrides at primes whose cocharacteristic value is finite and positive, one
+exactly where the coefficient does not imply that coordinate.  The
+coefficient is a ``Fraction`` only when ``.rational`` asks for one, so the
+arithmetic core combines plain ints, and one core serves both kinds.  Only
+``Qd1Group._slot(p)`` decides whether a prime carries a torsion coordinate: it
+is the memoised modulus p**cochar(p) when that value is finite and positive,
+and 0, meaning no finite torsion coordinate, when it is 0 or inf.  A
+nonreduced group fills the memo when it is built.  Only ``_implied(num, den,
+q)`` states which coordinate mod q the coefficient num/den implies; ``add``,
+``_build``, the ring product and the normal form of a descriptor all read it
+there.
 
 Denominators are validated where outside input comes in, in ``Qd1Group.elem``
 and ``Qd1Group.elem_qb`` (``parse_elem`` goes through them), and in the seeded
@@ -142,12 +143,9 @@ class Qd1Group:
         """
         ov: dict[int, int] = {}
         for p, a in (overrides or {}).items():
-            if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
+            if isinstance(p, bool) or not isinstance(p, int):
                 raise ValueError(f"override key {p!r} is not prime")
-            q = self._slot(p)
-            if not q:
-                k = self._cochar.value(p)
-                raise ValueError(f"prime {p} has cocharacteristic {k}; no finite torsion coordinate there")
+            q = _coordinate_slot(self, p)
             if isinstance(a, bool) or not isinstance(a, int):
                 raise ValueError(f"override at {p} must be an integer, got {a!r}")
             ov[p] = a % q
@@ -192,9 +190,9 @@ class GroupElement:
 
     Immutable; construct through the parent group.  The coefficient of the
     basis is held as ints ``_num`` and ``_den`` in lowest terms with
-    ``_den > 0``; ``rational`` builds the ``Fraction`` on demand.  In a reduced
-    group an override is kept only where it differs from the residue of the
-    coefficient; in a nonreduced group every torsion coordinate is explicit.
+    ``_den > 0``; ``rational`` builds the ``Fraction`` on demand.  In either
+    group kind an override is kept exactly where the coefficient does not
+    imply that coordinate (see ``_build``).
     Two slots are memos, None until first asked for, and equality, hashing
     and printing ignore them: ``_pai`` holds ``ring.principal_absolute_ideal``
     of the element, and ``_fp`` holds the scale, rational and base support of
@@ -258,7 +256,9 @@ class GroupElement:
         """The (rational, torsion residue) view of a nonreduced element."""
         if self._group.is_reduced:
             raise UnsupportedCaseError("as_pair applies to nonreduced groups only")
-        residue, _ = crt((a, self._group._slot(p)) for p, a in self._overrides.items())
+        G = self._group
+        slots = G._slots
+        residue, _ = crt((_residue(self, p, slots[p]), slots[p]) for p in G._torsion_keys)
         return self.rational, residue
 
 
@@ -274,7 +274,7 @@ def _residue(g: GroupElement, p: int, q: int) -> int:
 
 
 def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
-    """Normalize; the single constructor behind all arithmetic.
+    """Normalize; the single constructor behind all arithmetic, for both group kinds.
 
     The coefficient num/den needs den > 0; it is brought to lowest terms here.
     The overrides hold residues already reduced modulo their slots, at primes
@@ -282,32 +282,20 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
     here: ``elem``, ``elem_qb`` and the oracle's generators check it, and an
     arithmetic result inherits a valid one (see the module docstring).
 
-    An override a at p with slot q = p**k of a reduced group is dropped when
-    the coefficient implies it, ``a == _implied(num, den, q)``: when p does
-    not divide den, den is a unit modulo q, so that rule is tested as
-    a*den == num (mod q) with no inverse.  When p divides den it does not
-    divide num (lowest terms), so the same test fails and the override is kept.
+    An override a at p with slot q = p**k is dropped when the coefficient
+    implies it, ``a == _implied(num, den, q)``: when p does not divide den,
+    den is a unit modulo q, so that rule is tested as a*den == num (mod q)
+    with no inverse.  When p divides den it does not divide num (lowest
+    terms), so the same test fails and the override is kept.
     """
     if den != 1 and (d := math.gcd(num, den)) != 1:
         num //= d
         den //= d
     slots = group._slots
     ov = {}
-    if group._modulus is None:
-        for p, a in overrides.items():
-            if (a * den - num) % slots[p]:
-                ov[p] = a  # not implied by the coefficient
-    else:
-        for p in group._torsion_keys:
-            a = overrides.get(p)
-            if a is not None:
-                ov[p] = a
-            elif den % p:
-                ov[p] = _implied(num, den, slots[p])
-            else:
-                raise InvalidDenominatorError(
-                    f"denominator prime {p} divides the torsion modulus; give the coordinate explicitly"
-                )
+    for p, a in overrides.items():
+        if (a * den - num) % slots[p]:
+            ov[p] = a  # not implied by the coefficient
     return GroupElement(group, num, den, ov)
 
 
@@ -531,10 +519,11 @@ class Decomposition:
 def decompose(g: GroupElement, support: AbstractSet[int] = frozenset()) -> Decomposition:
     """Split g, in either group kind, into a free part against a punctured basis plus a torsion tail.
 
-    The support is the overrides of g (every torsion coordinate in Q (+) Z_m),
-    the slot primes of its numerator, and the given primes, which must be
-    primes that carry a slot (else ValueError).  Enlarging it leaves scale and
-    rational as they are.  A torsion g is its own tail.
+    The support is the overrides of g (every torsion coordinate in Q (+) Z_m,
+    stored or implied), the slot primes of its numerator, and the given
+    primes, which must be primes that carry a slot (else ValueError).
+    Enlarging it leaves scale and rational as they are.  A torsion g is its
+    own tail.
     """
     for p in support:
         _coordinate_slot(g._group, p)
@@ -546,16 +535,18 @@ def _free_part(g: GroupElement, support: AbstractSet[int]) -> tuple[int, Fractio
     """Scale, rational and support of ``decompose(g, support)``, without building its tail.
 
     Only the support depends on the given primes: the scale, the rational and
-    the base support (the overrides of g and the slot primes of its
-    numerator) are worked out once per element and memoised in ``g._fp``.
+    the base support (the overrides of g, or every torsion coordinate in
+    Q (+) Z_m, and the slot primes of its numerator) are worked out once per
+    element and memoised in ``g._fp``.
     """
     if g._fp is None:
-        base = frozenset(g._overrides)
+        G = g._group
+        base = frozenset(g._overrides if G.is_reduced else G._torsion_keys)
         if is_torsion(g):
             g._fp = 0, Fraction(0), base
         else:
             scale = c_of(g)
-            g._fp = scale, Fraction(g._num, g._den * scale), base | _finite_positive_chi_divisors(g._group, g._num)
+            g._fp = scale, Fraction(g._num, g._den * scale), base | _finite_positive_chi_divisors(G, g._num)
     scale, rational, base = g._fp
     return scale, rational, base.union(support)
 

@@ -336,7 +336,7 @@ def non_absolute_ideal_witness(mult: Multiplication) -> NonAbsoluteWitness:
     G = mult.group
     m = mult.m_elt
     if G.is_reduced:
-        part = {p for p, a in m.overrides.items() if a != 0}
+        part = set(m._overrides)
         if not part:
             part = {_smallest_finite_cochar_prime(G)}
         p = min(part)

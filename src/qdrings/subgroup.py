@@ -34,6 +34,7 @@ from .group import (
     _height,
     _implied,
     _quotient,
+    _residue,
     _same_group,
     add,
     canonical_elem_str,
@@ -175,23 +176,29 @@ def plus_cyclic(d: SubgroupDescriptor, g: GroupElement) -> SubgroupDescriptor:
 
 
 def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
-    """Reduce g modulo the torsion part and normalize the sign of the rational."""
+    """Reduce g modulo the torsion part and normalize the sign of the rational.
+
+    A coordinate is reduced modulo p**v for the floor value v < inf at p: in
+    a reduced group the overrides, in Q (+) Z_m every torsion coordinate,
+    stored or implied.
+    """
     if g._num < 0:
         g = neg(g)
-    ov = g.overrides
-    for p in list(ov):
+    G = g.group
+    reduced = G.is_reduced
+    ov = {}
+    for p in g._overrides if reduced else G._torsion_keys:
+        a = _residue(g, p, G._slots[p])
         v = eta.value(p)
-        if v == INF:
-            continue
-        pv = p**v
-        reduced = ov[p] % pv
-        # prefer the coordinate the rational implies when the two agree; at p | den it implies
-        # none, and the override that lets p divide den stays, even when pv is 1
-        if g.group.is_reduced and g._den % p != 0 and _implied(g._num, g._den, pv) == reduced:
-            del ov[p]
-        else:
-            ov[p] = reduced
-    return _build(g.group, g._num, g._den, ov)
+        if v != INF:
+            pv = p**v
+            a %= pv
+            # prefer the coordinate the rational implies when the two agree; at p | den it implies
+            # none, and the override that lets p divide den stays, even when pv is 1
+            if reduced and g._den % p and _implied(g._num, g._den, pv) == a:
+                continue
+        ov[p] = a
+    return _build(G, g._num, g._den, ov)
 
 
 # ---------------------------------------------------------------------------

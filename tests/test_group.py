@@ -92,12 +92,15 @@ def test_elem_basis_and_validation():
         GA.elem(Fraction(1, 3))  # the 3-coordinate of a third of the basis leaves the group
     with pytest.raises(InvalidDenominatorError):
         GA.elem(Fraction(1, 2))  # needs an explicit 2-coordinate
-    with pytest.raises(ValueError):
-        GA.elem(0, {5: 1})  # no finite torsion slot at 5
-    with pytest.raises(ValueError):
+    # the keys follow coordinate_residue's rule and messages
+    with pytest.raises(ValueError, match="^prime 5 carries no finite torsion coordinate"):
+        GA.elem(0, {5: 1})
+    with pytest.raises(ValueError, match="^prime 3 carries no finite torsion coordinate"):
         GA.elem(0, {3: 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^4 is not prime$"):
         GA.elem(0, {4: 1})
+    with pytest.raises(ValueError, match="^override key True is not prime$"):
+        GA.elem(0, {True: 1})
     for value in (1.5, Fraction(1), "1", True):  # coordinates and multiples are ints, not bools
         with pytest.raises(ValueError, match=re.escape(f"override at 2 must be an integer, got {value!r}")):
             GA.elem(0, {2: value})
@@ -158,7 +161,10 @@ def test_add_neg_zmul_examples():
     assert add(half, half) == GA.elem(1, {2: 0})
     assert e - e2 == add(e, neg(e2))
     twin_shape = build_group(Characteristic(0, {2: 2, 3: INF, 5: 1}))
+    # elements of equal groups are equal even when the group objects differ; of different groups, never
+    assert e == Qd1Group(CHI_A).elem(1)
     for other in (GB.elem_qb(1, 0), twin_shape.elem(1)):
+        assert e != other
         with pytest.raises(GroupMismatchError):
             add(e, other)
         with pytest.raises(GroupMismatchError):
@@ -240,8 +246,8 @@ def _fraction_coordinate(x, p, q):
 
 
 def _assert_overrides_are_the_unimplied_coordinates(x, coordinates):
-    # coordinates: every candidate key of a reduced-group result with its coordinate there; an
-    # override must be stored exactly where the coefficient does not give that coordinate
+    # coordinates: every candidate key of a result with its coordinate there; in either group kind
+    # an override must be stored exactly where the coefficient does not give that coordinate
     assert x._overrides.keys() <= coordinates.keys()
     for p, a in coordinates.items():
         q = x._group._slots[p]
@@ -279,8 +285,7 @@ def test_arithmetic_results_need_no_denominator_check(seed, n, reduced):
         _assert_lowest_terms(x)
         assert x.rational == rational
         assert x == G.elem(rational, coordinates)
-        if reduced:
-            _assert_overrides_are_the_unimplied_coordinates(x, coordinates)
+        _assert_overrides_are_the_unimplied_coordinates(x, coordinates)
 
 
 def test_arithmetic_on_equal_group_objects_reads_slots_the_first_has_not_seen():
@@ -302,22 +307,54 @@ def test_arithmetic_on_equal_group_objects_reads_slots_the_first_has_not_seen():
 
 
 def test_build_keeps_an_override_exactly_where_the_coefficient_does_not_imply_it():
-    G = build_group(Characteristic(2))  # a slot p**2 at every prime
-    for p in (2, 3, 5):
-        q = G._slot(p)
-        # den 1; dens that are units at p; p | den; num/den not in lowest terms, as with
-        # 2/2 at p = 2 and a = 3, where a*den == num (mod 4) holds but 3 is not 2/2 = 1
-        for den in (1, 7, 2, 3, 12, 25, 2 * p, p * p):
-            for num in (*range(-7, 8), 2 * p, -3 * p * p, 10**40 + 1):
-                if den % p:  # the rule itself, against the Fraction coefficient's coordinate
-                    assert _implied(num, den, q) == _fraction_coordinate(_build(G, num, den, {}), p, q)
-                for a in range(q):
-                    x = _build(G, num, den, {p: a})
-                    assert x.rational == Fraction(num, den)
-                    _assert_lowest_terms(x)
-                    _assert_overrides_are_the_unimplied_coordinates(x, {p: a})
-    assert _build(G, 2, 2, {2: 3}).overrides == {2: 3}
-    assert _build(G, 1, 2, {2: 0}).overrides == {2: 0}
+    # a slot p**2 at 2, 3 and 5 in a reduced group and in Q (+) Z_900: one normal form for both
+    for G in (build_group(Characteristic(2)), build_group(Characteristic(0, {2: 2, 3: 2, 5: 2}))):
+        for p in (2, 3, 5):
+            q = G._slot(p)
+            # den 1; dens that are units at p; p | den; num/den not in lowest terms, as with
+            # 2/2 at p = 2 and a = 3, where a*den == num (mod 4) holds but 3 is not 2/2 = 1
+            for den in (1, 7, 2, 3, 12, 25, 2 * p, p * p):
+                for num in (*range(-7, 8), 2 * p, -3 * p * p, 10**40 + 1):
+                    if den % p:  # the rule itself, against the Fraction coefficient's coordinate
+                        assert _implied(num, den, q) == _fraction_coordinate(_build(G, num, den, {}), p, q)
+                    for a in range(q):
+                        x = _build(G, num, den, {p: a})
+                        assert x.rational == Fraction(num, den)
+                        _assert_lowest_terms(x)
+                        _assert_overrides_are_the_unimplied_coordinates(x, {p: a})
+        assert _build(G, 2, 2, {2: 3}).overrides == {2: 3}
+        assert _build(G, 1, 2, {2: 0}).overrides == {2: 0}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_sparse_nonreduced_elements_round_trip_through_pairs_and_text(seed):
+    # a nonreduced element stores only its unimplied coordinates; the (q, b) pair and the q=...;b=...
+    # text still carry every coordinate, and each rebuilds the same element
+    rng = random.Random(seed)
+    G = random_group(rng, CFG, reduced=False)
+    x = random_element(G, rng, CFG, torsion=rng.random() < 0.3)
+    rational, b = x.as_pair()
+    coordinates = {p: b % G._slot(p) for p in G._torsion_keys}
+    assert {p: coordinate_residue(x, p) for p in G._torsion_keys} == coordinates
+    _assert_overrides_are_the_unimplied_coordinates(x, coordinates)
+    assert G.elem_qb(rational, b) == x
+    assert G.parse_elem(str(x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(-30, 30), st.booleans())
+def test_operators_are_the_group_laws(seed, n, reduced):
+    rng = random.Random(seed)
+    G = random_group(rng, CFG, reduced=reduced)
+    g, h = (random_element(G, rng, CFG, torsion=rng.random() < 0.3) for _ in range(2))
+    assert g + h == add(g, h)
+    assert g - h == add(g, neg(h))
+    assert -g == neg(g) == zmul(-1, g)
+    assert n * g == zmul(n, g)
+    if reduced:
+        with pytest.raises(UnsupportedCaseError, match="nonreduced groups only"):
+            g.as_pair()
 
 
 @pytest.mark.parametrize(
@@ -347,8 +384,12 @@ def test_reduced_entry_points_reject_a_bad_denominator(cochar, text, message):
 
 def test_nonreduced_entry_points_reject_a_bad_denominator():
     G = build_group(Characteristic(0, {2: 1, 3: 2}))
-    for r in (Fraction(1, 2), Fraction(5, 9), Fraction(1, 6)):
-        with pytest.raises(InvalidDenominatorError, match="give the coordinate explicitly"):
+    for r, message in (
+        (Fraction(1, 2), "prime 2 has cocharacteristic 1"),
+        (Fraction(5, 9), "prime 3 has cocharacteristic 2"),
+        (Fraction(1, 6), "prime 2 has cocharacteristic 1"),
+    ):
+        with pytest.raises(InvalidDenominatorError, match=message):
             G.elem(r)
         # elem_qb and the q=...;b=... text give every torsion coordinate, so any denominator is valid
         x = G.elem_qb(r, 5)
@@ -600,7 +641,8 @@ def test_element_memos_are_transparent(seed, reduced):
     for _ in range(4):
         support = frozenset(p for p in slot_primes if rng.random() < 0.5)
         fresh = G.elem(g.rational, g.overrides)
-        base = set(g.overrides)
+        # the base support holds every torsion coordinate of Q (+) Z_m, stored or implied
+        base = set(g.overrides) if reduced else set(G._torsion_keys)
         if is_torsion(g):
             expected = (0, 0, frozenset(base | support))
         else:
