@@ -78,7 +78,7 @@ __all__ = [
 class Qd1Group:
     """A rank-1 quotient divisible group, identified by its cocharacteristic."""
 
-    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots", "_draw_primes")
+    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots", "_draw_primes", "_draw_last")
 
     def __init__(self, cochar: Characteristic):
         self._cochar = cochar
@@ -86,6 +86,7 @@ class Qd1Group:
         self._slots: dict[int, int] = {}
         # the primes oracle.random_element draws at, keyed by a TrialConfig's prime list
         self._draw_primes: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+        self._draw_last = None  # (prime list, its entry) of the last _draw_primes call
         if is_zero_type(cochar):
             self._torsion_keys = tuple(p for p in cochar.exception_primes if self._slot(p))
             self._modulus = math.prod(self._slot(p) for p in self._torsion_keys)
@@ -166,10 +167,10 @@ class Qd1Group:
         return _check_denominator(_build(self, r.numerator, r.denominator, ov))
 
     def zero(self) -> "GroupElement":
-        return self.elem(0)
+        return _build(self, 0, 1, {})
 
     def basis_element(self) -> "GroupElement":
-        return self.elem(1)
+        return _build(self, 1, 1, {})
 
     def parse_elem(self, text: str) -> "GroupElement":
         return _parse_element(self, text)
@@ -188,7 +189,9 @@ def is_integers(G: Qd1Group) -> bool:
 class GroupElement:
     """Canonical finite representation of a group element.
 
-    Immutable; construct through the parent group.  The coefficient of the
+    Immutable; built only by ``_build``, so get one through the parent group
+    (``elem``, ``elem_qb``, ``zero``, ``basis_element``, ``parse_elem``) or the
+    arithmetic; calling the class raises TypeError.  The coefficient of the
     basis is held as ints ``_num`` and ``_den`` in lowest terms with
     ``_den > 0``; ``rational`` builds the ``Fraction`` on demand.  In either
     group kind an override is kept exactly where the coefficient does not
@@ -200,14 +203,6 @@ class GroupElement:
     """
 
     __slots__ = ("_group", "_num", "_den", "_overrides", "_pai", "_fp")
-
-    def __init__(self, group: Qd1Group, num: int, den: int, overrides: dict[int, int]):
-        self._group = group
-        self._num = num
-        self._den = den
-        self._overrides = overrides
-        self._pai = None
-        self._fp = None
 
     @property
     def group(self) -> Qd1Group:
@@ -273,14 +268,20 @@ def _residue(g: GroupElement, p: int, q: int) -> int:
     return _implied(g._num, g._den, q) if a is None else a
 
 
-def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
-    """Normalize; the single constructor behind all arithmetic, for both group kinds.
+_new = object.__new__
 
-    The coefficient num/den needs den > 0; it is brought to lowest terms here.
-    The overrides hold residues already reduced modulo their slots, at primes
-    that have been through ``group._slot``.  The denominator is not validated
-    here: ``elem``, ``elem_qb`` and the oracle's generators check it, and an
-    arithmetic result inherits a valid one (see the module docstring).
+
+def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
+    """Normalize and allocate; the single constructor of ``GroupElement``, for both group kinds.
+
+    It allocates the element with ``object.__new__`` and sets its six slots,
+    the two memos to None; ``GroupElement`` has no ``__init__``, so no second
+    frame runs per element.  The coefficient num/den needs den > 0; it is
+    brought to lowest terms here.  The overrides hold residues already
+    reduced modulo their slots, at primes that have been through
+    ``group._slot``.  The denominator is not validated here: ``elem``,
+    ``elem_qb`` and the oracle's generators check it, and an arithmetic
+    result inherits a valid one (see the module docstring).
 
     An override a at p with slot q = p**k is dropped when the coefficient
     implies it, ``a == _implied(num, den, q)``: when p does not divide den,
@@ -296,7 +297,14 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
     for p, a in overrides.items():
         if (a * den - num) % slots[p]:
             ov[p] = a  # not implied by the coefficient
-    return GroupElement(group, num, den, ov)
+    g = _new(GroupElement)
+    g._group = group
+    g._num = num
+    g._den = den
+    g._overrides = ov
+    g._pai = None
+    g._fp = None
+    return g
 
 
 def _check_denominator(g: GroupElement) -> GroupElement:
@@ -308,7 +316,7 @@ def _check_denominator(g: GroupElement) -> GroupElement:
     den = g._den
     if den == 1:
         return g
-    chi = g._group.cochar
+    chi = g._group._cochar
     rest = den
     for p in g._overrides:
         while rest % p == 0:
@@ -381,7 +389,10 @@ def zmul(n: int, g: GroupElement) -> GroupElement:
     if isinstance(n, bool) or not isinstance(n, int):
         raise ValueError(f"integer multiple expected, got {n!r}")
     G = g._group
-    ov = {p: n * a % G._slots[p] for p, a in g._overrides.items()}
+    slots = G._slots
+    ov = {}
+    for p, a in g._overrides.items():
+        ov[p] = n * a % slots[p]
     return _build(G, n * g._num, g._den, ov)
 
 
@@ -448,7 +459,7 @@ def order(g: GroupElement) -> ExtNat:
         return INF
     n = 1
     for p, a in g._overrides.items():
-        q = g.group._slot(p)
+        q = g._group._slot(p)
         n = math.lcm(n, q // math.gcd(a, q))
     return n
 
@@ -460,9 +471,9 @@ def c_of(g: GroupElement) -> int:
     positive integer otherwise because only finitely many primes divide the
     rational coefficient.
     """
-    if is_torsion(g):
+    if g._num == 0:
         return 0
-    chi = g.group.cochar
+    chi = g._group._cochar
     if chi.default == INF:
         # every prime but the finite-value exceptions is divisible, so dividing those
         # out of |num| leaves c without factoring
@@ -490,7 +501,8 @@ def _quotient(x: GroupElement, g: GroupElement) -> int:
 
 def _finite_positive_chi_divisors(G: Qd1Group, n: int) -> set[int]:
     """Primes p dividing the nonzero n with a torsion slot, 0 < cochar(p) < inf."""
-    primes = factorization(n) if 0 < G.cochar.default < INF else G.cochar.exception_primes
+    chi = G._cochar
+    primes = factorization(n) if 0 < chi._default < INF else chi.exception_primes
     return {p for p in primes if n % p == 0 and G._slot(p)}
 
 
@@ -541,8 +553,8 @@ def _free_part(g: GroupElement, support: AbstractSet[int]) -> tuple[int, Fractio
     """
     if g._fp is None:
         G = g._group
-        base = frozenset(g._overrides if G.is_reduced else G._torsion_keys)
-        if is_torsion(g):
+        base = frozenset(g._overrides if G._modulus is None else G._torsion_keys)
+        if g._num == 0:
             g._fp = 0, Fraction(0), base
         else:
             scale = c_of(g)
@@ -554,7 +566,10 @@ def _free_part(g: GroupElement, support: AbstractSet[int]) -> tuple[int, Fractio
 def _tail(g: GroupElement, support: frozenset[int]) -> GroupElement:
     """The torsion part of g supported on the given primes, which must be slot primes of its group."""
     G = g._group
-    return _build(G, 0, 1, {p: _residue(g, p, G._slot(p)) for p in support})
+    ov = {}
+    for p in support:
+        ov[p] = _residue(g, p, G._slot(p))
+    return _build(G, 0, 1, ov)
 
 
 # ---------------------------------------------------------------------------

@@ -204,17 +204,41 @@ def heights_agree(closed: ExtNat, oracle_value: int, bound: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # seeded generators
+#
+# The generators call two methods of random.Random only: random() for every
+# coin and getrandbits() for every integer, drawn through _below.  Python
+# promises the random() sequence of a seed across versions, and getrandbits is
+# the primitive that randrange, randint and choice are built on, so no draw
+# depends on how a version implements those.
+
+
+def _below(getrandbits, n: int) -> int:
+    """A uniform int in [0, n) for n >= 1, redrawing n.bit_length() bits until one lands below n.
+
+    This is the loop CPython's ``random.Random`` uses for ``randrange``,
+    ``randint`` and ``choice``, so ``_below(gb, n)``, ``a + _below(gb, b - a +
+    1)`` and ``s[_below(gb, len(s))]`` draw what ``randrange(n)``,
+    ``randint(a, b)`` and ``choice(s)`` draw on CPython 3.10-3.13.
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
 
 
 def random_characteristic(rng: random.Random, cfg: TrialConfig, *, force_default=None) -> Characteristic:
+    gb, max_exp = rng.getrandbits, cfg.max_exp
     if force_default is None:
-        default = rng.choice([0, rng.randint(1, cfg.max_exp), INF])
+        finite = 1 + _below(gb, max_exp)  # drawn before the pick, whichever value is picked
+        default = (0, finite, INF)[_below(gb, 3)]
     else:
         default = force_default
     exceptions = {}
     for p in cfg.primes:
         if rng.random() < 0.5:
-            exceptions[p] = rng.choice([0, rng.randint(1, cfg.max_exp), INF])
+            finite = 1 + _below(gb, max_exp)
+            exceptions[p] = (0, finite, INF)[_below(gb, 3)]
     return Characteristic(default, exceptions)
 
 
@@ -244,16 +268,23 @@ def _draw_primes(G: Qd1Group, cfg: TrialConfig) -> tuple[tuple[int, ...], ...]:
 
     The slots are the sorted primes of cfg.primes and of the cocharacteristic's
     exceptions that carry a torsion coordinate; the other two are read from
-    cfg.primes.  Memoised on G per prime list, so each group works them out once.
+    cfg.primes.  Memoised on G per prime list, so each group works them out
+    once.  The last prime list asked for is tested by identity first: a
+    tuple does not keep its hash, and a sweep asks with one list throughout.
     """
-    found = G._draw_primes.get(cfg.primes)
+    primes = cfg.primes
+    last = G._draw_last
+    if last is not None and last[0] is primes:
+        return last[1]
+    found = G._draw_primes.get(primes)
     if found is None:
-        chi = G.cochar
-        found = G._draw_primes[cfg.primes] = (
-            tuple(p for p in sorted(set(cfg.primes) | set(chi.exception_primes)) if G._slot(p)),
-            tuple(p for p in cfg.primes if chi.value(p) == 0),
-            tuple(p for p in cfg.primes if chi.value(p) == INF),
+        chi = G._cochar
+        found = G._draw_primes[primes] = (
+            tuple(p for p in sorted(set(primes) | set(chi.exception_primes)) if G._slot(p)),
+            tuple(p for p in primes if chi.value(p) == 0),
+            tuple(p for p in primes if chi.value(p) == INF),
         )
+    G._draw_last = primes, found  # holds the key, so no other tuple can be the one tested
     return found
 
 
@@ -270,13 +301,12 @@ def random_element(
     result goes through ``_check_denominator``.
     """
     slots, zero_primes, inf_primes = _draw_primes(G, cfg)
-    # on CPython 3.10-3.13 randrange(n), choice(s), randint(1, b) are below(n), s[below(len(s))], 1 + below(b)
-    rand, below = rng.random, rng._randbelow
+    rand, gb = rng.random, rng.getrandbits
     ov = {}
     den = 1
     for p in slots:
         if rand() < 0.45:
-            ov[p] = below(G._slots[p])  # _draw_primes has filled the slot
+            ov[p] = _below(gb, G._slots[p])  # _draw_primes has filled the slot
             if not torsion and rand() < 0.3:
                 den *= p
     if torsion:
@@ -284,10 +314,10 @@ def random_element(
     for p in zero_primes:
         if rand() < 0.25:
             den *= p
-    num = _NONZERO_NUMERATORS[below(len(_NONZERO_NUMERATORS))]
+    num = _NONZERO_NUMERATORS[_below(gb, len(_NONZERO_NUMERATORS))]
     for p in inf_primes:
         if rand() < 0.3:
-            num *= p ** (1 + below(cfg.max_exp))
+            num *= p ** (1 + _below(gb, cfg.max_exp))
     return _check_denominator(_build(G, num, den, ov))
 
 
@@ -317,17 +347,17 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
     plan = d._plans.get(cfg.primes)
     if plan is None:
         plan = d._plans[cfg.primes] = _plan(d, cfg.primes)
-    G = d.group
-    if d.kind is DescriptorKind.TORSION:
+    G, kind = d._group, d._kind
+    if kind is DescriptorKind.TORSION:
         return _torsion_member(G, plan, rng)
-    if d.kind is DescriptorKind.SUM:
-        k = rng.randint(-6, 6)
+    if kind is DescriptorKind.SUM:
+        k = -6 + _below(rng.getrandbits, 13)
         t = _torsion_member(G, plan, rng)
-        x = add(zmul(k, d.generator), t)
+        x = add(zmul(k, d._generator), t)
     else:
         x = _full_member(G, plan, rng)
     if not contains(d, x):
-        raise InvariantError(f"member generator left {descriptor_str(d)}: {x}", cochar=G.cochar)
+        raise InvariantError(f"member generator left {descriptor_str(d)}: {x}", cochar=G._cochar)
     return x
 
 
@@ -338,9 +368,9 @@ def _plan(d: SubgroupDescriptor, primes: tuple[int, ...]) -> tuple:
     the cocharacteristic and of the floor, in increasing order, so every key
     is prime: it was sieved or ``Characteristic`` checked it.
     """
-    G, eta = d.group, d.eta
-    chi = G.cochar
-    if d.kind is not DescriptorKind.FULL:
+    G, eta = d._group, d._eta
+    chi = G._cochar
+    if d._kind is not DescriptorKind.FULL:
         return _torsion_plan(G, eta, primes)
     steps = []  # (p, kind, p**v, room) in the order the draws consume the rng
     for p in sorted(set(primes) | set(chi.exception_primes) | set(eta.exception_primes)):
@@ -374,12 +404,13 @@ def _torsion_member(G: Qd1Group, plan, rng) -> GroupElement:
     """A torsion element meeting the floor of a torsion plan, built with ``_build`` like ``random_element``.
 
     Keys are prime by construction (see ``_plan``), and ``p**v *
-    randrange(q // p**v)`` lies in ``[0, q)`` for the slot q of p.
+    _below(q // p**v)`` lies in ``[0, q)`` for the slot q of p.
     """
+    rand, gb = rng.random, rng.getrandbits
     ov = {}
     for p, pv, room in plan:
-        if rng.random() < 0.6:
-            ov[p] = pv * rng.randrange(room)
+        if rand() < 0.6:
+            ov[p] = pv * _below(gb, room)
     return _build(G, 0, 1, ov)
 
 
@@ -391,24 +422,25 @@ def _full_member(G: Qd1Group, plan, rng) -> GroupElement:
     ``_check_denominator`` unless it is torsion.
     """
     torsion_plan, steps, den_steps = plan
-    if rng.random() < 0.2:
+    rand, gb = rng.random, rng.getrandbits
+    if rand() < 0.2:
         # torsion members satisfy any floor they meet on the torsion slots
         return _torsion_member(G, torsion_plan, rng)
-    rho = rng.choice(_RHO_MAGNITUDES) * rng.choice([1, -1])
+    rho = _RHO_MAGNITUDES[_below(gb, len(_RHO_MAGNITUDES))] * (1, -1)[_below(gb, 2)]
     forced: dict[int, int] = {}
     for p, kind, pv, room in steps:
         if kind == "rho":  # a divisible prime: rho takes p**v, p**v or p**(v+1)
-            rho *= pv * rng.choice((1, 1, p))
+            rho *= pv * (1, 1, p)[_below(gb, 3)]
         elif kind == "zero":  # floor inf on a slot
             forced[p] = 0
-        elif kind == "floor" or rng.random() < 0.3:  # floor v > 0 always, floor 0 sometimes
-            forced[p] = pv * rng.randrange(room)
+        elif kind == "floor" or rand() < 0.3:  # floor v > 0 always, floor 0 sometimes
+            forced[p] = pv * _below(gb, room)
     den = 1
     for p, zero_value in den_steps:
         if zero_value:
-            if rng.random() < 0.25:
+            if rand() < 0.25:
                 den *= p
-        elif p in forced and rng.random() < 0.25:
+        elif p in forced and rand() < 0.25:
             den *= p
     return _check_denominator(_build(G, rho, den, forced))
 
@@ -434,12 +466,13 @@ def ideal_two_way_check(
     defining identity is recomputed here, independently of how the witness
     was produced.
     """
-    G = mult.group
-    rng = cfg.rng("ideal", _input_digest(G.cochar, mult.m_elt, g))
+    G = mult._group
+    rng = cfg.rng("ideal", _input_digest(G._cochar, mult._m, g))
+    gb = rng.getrandbits
     report = CheckReport("ideal-two-way")
     for i in range(cfg.samples_per_instance):
         x = random_element(G, rng, cfg, torsion=rng.random() < 0.3)
-        k = rng.randint(-8, 8)
+        k = -8 + _below(gb, 17)
         b = add(multiply(mult, g, x), zmul(k, g))
         report.trials += 1
         if not contains(d, b):
@@ -473,12 +506,12 @@ def ring_axiom_check(
     The products x*y and y*z of each sample are computed once and reused by
     every check that compares them.
     """
-    G = mult.group
-    rng = cfg.rng("axioms", _input_digest(G.cochar, mult.m_elt))
+    G, m = mult._group, mult._m
+    rng = cfg.rng("axioms", _input_digest(G._cochar, m))
     report = CheckReport("ring-axioms")
     e = G.basis_element()
     report.trials += 1
-    if product(mult, e, e) != mult.m_elt:
+    if product(mult, e, e) != m:
         report.record(0, "square of the basis element does not round-trip")
     for i in range(cfg.samples_per_instance):
         x = random_element(G, rng, cfg)
@@ -497,7 +530,7 @@ def ring_axiom_check(
             report.record(i, "distributivity failed")
             continue
         m2 = random_element(G, rng, cfg)
-        lhs = product(make_mult(G, add(mult.m_elt, m2)), x, y)
+        lhs = product(make_mult(G, add(m, m2)), x, y)
         rhs = add(xy, product(make_mult(G, m2), x, y))
         if lhs != rhs:
             report.record(i, "additivity in the defining element failed")

@@ -72,7 +72,8 @@ class Multiplication:
     __slots__ = ("_group", "_m")
 
     def __init__(self, group: Qd1Group, m_elt: GroupElement):
-        _same_group(group, m_elt)
+        if m_elt._group is not group:
+            _same_group(group, m_elt)
         self._group = group
         self._m = m_elt
 
@@ -170,9 +171,10 @@ def principal_ideal(mult: Multiplication, g: GroupElement) -> SubgroupDescriptor
     products are torsion, which happens exactly when the basis square is;
     then it is the torsion of g x e plus the multiples of g.
     """
-    G = mult.group
-    _same_group(G, g)
-    if is_torsion(g) or not is_torsion(mult.m_elt):
+    G = mult._group
+    if g._group is not G:
+        _same_group(G, g)
+    if g._num == 0 or mult._m._num != 0:
         return principal_absolute_ideal(g)
     g_times_e = multiply(mult, g, G.basis_element())
     return plus_cyclic(torsion_inv(G, char_of(g_times_e)), g)
@@ -184,8 +186,8 @@ def principal_absolute_ideal(g: GroupElement) -> SubgroupDescriptor:
     It depends on g alone, so it is built once per element and memoised in g's ``_pai`` slot.
     """
     if g._pai is None:
-        build = torsion_inv if is_torsion(g) else full_inv
-        g._pai = build(g.group, char_of(g))
+        build = torsion_inv if g._num == 0 else full_inv
+        g._pai = build(g._group, char_of(g))
     return g._pai
 
 
@@ -204,11 +206,12 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     one inverse per slot; the result is verified by recomputation.  A zero u
     gets the order of g.
     """
-    if not is_torsion(g):
+    if g._num != 0:
         raise UnsupportedCaseError("torsion_witness needs a torsion base element")
-    G = g.group
-    _same_group(G, u)
-    if not is_torsion(u) or not u._overrides.keys() <= g._overrides.keys():
+    G = g._group
+    if u._group is not G:
+        _same_group(G, u)
+    if u._num != 0 or not u._overrides.keys() <= g._overrides.keys():
         raise NotAMemberError(f"{u} is not an integer multiple of {g}")
     n, M = 0, 1  # n in [0, M) solves the congruences of the slots seen so far
     for p, a in g._overrides.items():
@@ -222,7 +225,7 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
         n += M * ((c - a // d * n) * pow(a // d * M, -1, modulus) % modulus)
         M *= modulus
     if zmul(n, g) != u:
-        raise InvariantError("torsion witness failed recomputation", cochar=G.cochar, g=g, u=u)
+        raise InvariantError("torsion witness failed recomputation", cochar=G._cochar, g=g, u=u)
     return n or M  # M is the order of g
 
 
@@ -236,10 +239,11 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     equation for the free parts and an integer multiple for the tails.  The
     witness is recomputed before being returned.
     """
-    G = mult.group
-    _same_group(G, g, b)
-    m = mult.m_elt
-    if is_torsion(g) or is_torsion(m):
+    G = mult._group
+    if g._group is not G or b._group is not G:
+        _same_group(G, g, b)
+    m = mult._m
+    if g._num == 0 or m._num == 0:
         raise UnsupportedCaseError(
             "solve_in_principal needs a non-torsion generator and a non-torsion basis square"
         )
@@ -263,7 +267,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     k1, k2 = k1 // c, k2 // c
     x0, y0, gcd = bezout(m_scale, n * rn * k2)
     if gcd != 1:
-        raise InvariantError("support primes leaked into the Bezout step", cochar=G.cochar, m=m, g=g, b=b)
+        raise InvariantError("support primes leaked into the Bezout step", cochar=G._cochar, m=m, g=g, b=b)
     x, y = x0 * k1, y0 * k1
     zn, zd = rd * m_frac.denominator * x, rn * m_frac.numerator * k2
     if zd < 0:
@@ -272,7 +276,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     y_elt = _check_denominator(_build(G, zn, zd, {p: 0 for p in support}))
     k = n * y * rd + w
     if add(multiply(mult, g, y_elt), zmul(k, g)) != b:
-        raise InvariantError("principal witness failed recomputation", cochar=G.cochar, m=m, g=g, b=b)
+        raise InvariantError("principal witness failed recomputation", cochar=G._cochar, m=m, g=g, b=b)
     return PrincipalWitness(y_elt, k)
 
 
@@ -284,15 +288,16 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
     construction or to a multiple of the generator plus a multiple of its
     product with the basis.
     """
-    G = mult.group
-    _same_group(G, g, b)
-    if is_torsion(g):
+    G = mult._group
+    if g._group is not G or b._group is not G:
+        _same_group(G, g, b)
+    if g._num == 0:
         try:
             n = torsion_witness(g, b)
         except NotAMemberError:
             return None
         return PrincipalWitness(G.zero(), n)
-    if not is_torsion(mult.m_elt):
+    if mult._m._num != 0:
         return solve_in_principal(mult, g, b)
     # all products are torsion: members are k*g plus a multiple of g x e, and only
     # k = _quotient(b, g) can leave a torsion t; the tests below reject any other t
@@ -311,7 +316,7 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
             return None
         y = zmul(n, e)
     if add(multiply(mult, g, y), zmul(k, g)) != b:
-        raise InvariantError("membership witness failed recomputation", cochar=G.cochar, m=mult.m_elt, g=g, b=b)
+        raise InvariantError("membership witness failed recomputation", cochar=G._cochar, m=mult._m, g=g, b=b)
     return PrincipalWitness(y, k)
 
 

@@ -40,7 +40,6 @@ from .group import (
     canonical_elem_str,
     char_of,
     is_integers,
-    is_torsion,
     neg,
     zmul,
 )
@@ -130,9 +129,9 @@ class SubgroupDescriptor:
 
 def _normalize(G: Qd1Group, eta: Characteristic, rule) -> Characteristic:
     """Apply rule(cochar value, floor value) at the default and at every exception prime."""
-    chi = G.cochar
+    chi = G._cochar
     primes = set(chi.exception_primes) | set(eta.exception_primes)
-    return Characteristic(rule(chi.default, eta.default), {p: rule(chi.value(p), eta.value(p)) for p in primes})
+    return Characteristic(rule(chi._default, eta._default), {p: rule(chi.value(p), eta.value(p)) for p in primes})
 
 
 def _normalize_torsion_eta(G: Qd1Group, eta: Characteristic) -> Characteristic:
@@ -167,12 +166,14 @@ def torsion_inv(G: Qd1Group, eta: Characteristic) -> SubgroupDescriptor:
 
 def plus_cyclic(d: SubgroupDescriptor, g: GroupElement) -> SubgroupDescriptor:
     """The descriptor of d plus all integer multiples of g."""
-    if d.kind is not DescriptorKind.TORSION:
+    if d._kind is not DescriptorKind.TORSION:
         raise UnsupportedCaseError("plus_cyclic extends a torsion descriptor")
-    _same_group(d.group, g)
-    if is_torsion(g):  # Z*g is the torsion at g's heights, so the floors meet
-        return torsion_inv(d.group, meet(d.eta, char_of(g)))
-    return SubgroupDescriptor(d.group, DescriptorKind.SUM, d.eta, _canonical_generator(d.eta, g))
+    G = d._group
+    if g._group is not G:
+        _same_group(G, g)
+    if g._num == 0:  # Z*g is the torsion at g's heights, so the floors meet
+        return torsion_inv(G, meet(d._eta, char_of(g)))
+    return SubgroupDescriptor(G, DescriptorKind.SUM, d._eta, _canonical_generator(d._eta, g))
 
 
 def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
@@ -184,8 +185,8 @@ def _canonical_generator(eta: Characteristic, g: GroupElement) -> GroupElement:
     """
     if g._num < 0:
         g = neg(g)
-    G = g.group
-    reduced = G.is_reduced
+    G = g._group
+    reduced = G._modulus is None
     ov = {}
     for p in g._overrides if reduced else G._torsion_keys:
         a = _residue(g, p, G._slots[p])
@@ -227,13 +228,16 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
     ``group._finite_height_primes`` allows them finite.  A ``SUM`` reduces to
     its torsion part once the right multiple of the generator is subtracted.
     """
-    _same_group(d._group, x)
-    if d.kind is DescriptorKind.FULL:
+    if x._group is not d._group:
+        _same_group(d._group, x)
+    kind = d._kind
+    if kind is DescriptorKind.FULL:
         return _dominates(x, d)
-    if d.kind is DescriptorKind.SUM and not is_torsion(x):
+    if kind is DescriptorKind.SUM and x._num != 0:
         # g is non-torsion: x - k*g is torsion only for k = x.rational / g.rational
-        x = add(x, zmul(-_quotient(x, d.generator), d.generator))
-    return is_torsion(x) and _dominates(x, d)
+        g = d._generator
+        x = add(x, zmul(-_quotient(x, g), g))
+    return x._num == 0 and _dominates(x, d)
 
 
 # ---------------------------------------------------------------------------
@@ -266,18 +270,20 @@ def _is_eta_index(n: int, eta: Characteristic) -> bool:
 
 def equals(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
     """Exact set equality of two descriptors over the same group."""
-    _same_group(d1._group, d2)
-    if d1.kind is d2.kind:
-        if d1.kind is DescriptorKind.SUM:
-            return d1.eta == d2.eta and d1.generator == d2.generator
-        return d1.eta == d2.eta
-    if DescriptorKind.TORSION in (d1.kind, d2.kind):
+    if d2._group is not d1._group:
+        _same_group(d1._group, d2)
+    k1, k2 = d1._kind, d2._kind
+    if k1 is k2:
+        if k1 is DescriptorKind.SUM:
+            return d1._eta == d2._eta and d1._generator == d2._generator
+        return d1._eta == d2._eta
+    if k1 is DescriptorKind.TORSION or k2 is DescriptorKind.TORSION:
         return False
-    summ, full = (d1, d2) if d1.kind is DescriptorKind.SUM else (d2, d1)
-    if not is_integers(summ.group):
+    summ, full = (d1, d2) if k1 is DescriptorKind.SUM else (d2, d1)
+    if not is_integers(summ._group):
         return False
-    g = summ.generator
-    return g._den == 1 and _is_eta_index(abs(g._num), full.eta)
+    g = summ._generator
+    return g._den == 1 and _is_eta_index(abs(g._num), full._eta)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .oracle import (
     random_nonzero_torsion,
     ring_axiom_check,
     sample_member,
+    _below,
     _draw_primes,
 )
 from .ring import (
@@ -37,6 +38,8 @@ from .ring import (
 from .subgroup import contains, equals, full_inv, torsion_inv
 
 __all__ = ["SUITE_NAMES", "run_suite", "suite_summary"]
+
+_NONZERO_UP_TO_30 = tuple(n for n in range(-30, 31) if n)
 
 
 def _absorb(target: CheckReport, instance: int, sub: CheckReport) -> None:
@@ -77,7 +80,7 @@ def suite_lemma22(cfg: TrialConfig) -> list[CheckReport]:
             if zmul(n, g) != u:
                 witnesses.record(i, f"instance {i}: {n}*{g} != {u}")
         for _ in range(cfg.samples_per_instance):
-            n = rng.randint(-3 * bound, 3 * bound)
+            n = -3 * bound + _below(rng.getrandbits, 6 * bound + 1)
             multiples.trials += 1
             if not contains(d, zmul(n, g)):
                 multiples.record(i, f"instance {i}: {n}*{g} left the torsion descriptor")
@@ -186,11 +189,11 @@ def suite_thm34(cfg: TrialConfig) -> list[CheckReport]:
     GZ = build_group(Characteristic(INF))
     for i in range(cfg.samples_per_instance):
         rng = cfg.rng("thm3.4-integers", i)
-        mult = make_mult(GZ, GZ.elem(rng.randint(-20, 20)))
+        mult = make_mult(GZ, GZ.elem(-20 + _below(rng.getrandbits, 41)))
         integers.trials += 1
         if not (is_ai_ring(mult) and is_fi_ring(mult)):
             integers.record(i, f"instance {i}: a ring on the integers-like group is not AI")
-        g = GZ.elem(rng.choice([n for n in range(-30, 31) if n]))
+        g = GZ.elem(_NONZERO_UP_TO_30[_below(rng.getrandbits, len(_NONZERO_UP_TO_30))])
         integers.trials += 1
         if not equals(principal_ideal(mult, g), principal_absolute_ideal(g)):
             integers.record(i, f"instance {i}: ideal of {g} is not its absolute ideal")

@@ -280,6 +280,14 @@ def test_verify_rejects_sweep_sizes_above_the_caps_at_once(capsys, monkeypatch, 
     assert code == 2 and out == "" and message in err
 
 
+def test_verify_defaults_are_the_trial_config_defaults(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: seen.append(cfg) or [])
+    assert run_cli(capsys, "verify", "--suite", "thm3.3", "--seed", "3") == (0, "", "")
+    assert seen == [TrialConfig(seed=3)]
+    assert (seen[0].trials, seen[0].max_prime, seen[0].max_exp, seen[0].samples_per_instance) == (100, 13, 4, 20)
+
+
 def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     from qdrings import cli
     from qdrings.oracle import CheckReport

@@ -9,16 +9,22 @@ live in tests/golden/draws/digests.json; a change that alters the draws on
 purpose regenerates them with
 
     PYTHONPATH=src python tests/test_draws.py
+
+A second lock runs every suite on a ``random.Random`` that refuses all its
+methods but ``random``, ``getrandbits`` and seeding, so that the summaries
+rest on those two methods and on the package's own ``oracle._below`` only.
 """
 
 import contextlib
 import hashlib
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from qdrings import oracle, suites
+from qdrings.cli import run
 from qdrings.group import canonical_elem_str
 from qdrings.oracle import TrialConfig
 from qdrings.suites import SUITE_NAMES, run_suite
@@ -73,6 +79,45 @@ def test_every_suite_has_a_draw_digest():
 def test_draws_match_the_recorded_digest(suite):
     digest, count = draw_digest(suite)
     assert {"sha256": digest, "draws": count} == json.loads(DIGESTS.read_text())[suite]
+
+
+def _refused(name):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"the package called random.Random.{name}")
+
+    return refuse
+
+
+# every public method but random, getrandbits and seed, and the private _randbelow
+_StrictRandom = type(
+    "_StrictRandom",
+    (random.Random,),
+    {
+        name: _refused(name)
+        for name in dir(random.Random)
+        if (name == "_randbelow" or not name.startswith("_"))
+        and name not in ("random", "getrandbits", "seed")
+        and callable(getattr(random.Random, name))
+    },
+)
+
+
+@pytest.mark.parametrize("suite", sorted(SUITE_NAMES))
+def test_summaries_need_only_random_and_getrandbits(suite, monkeypatch, capsys):
+    seeded = TrialConfig.rng
+
+    def strict_rng(cfg, *path):
+        rng = _StrictRandom()
+        random.Random.setstate(rng, seeded(cfg, *path).getstate())  # the stream TrialConfig.rng seeds
+        return rng
+
+    monkeypatch.setattr(TrialConfig, "rng", strict_rng)
+    with pytest.raises(AssertionError, match="random.Random.randint"):
+        TrialConfig(seed=1).rng("x").randint(1, 2)
+    argv = ["verify", "--suite", suite, "--seed", "7", "--trials", "20", "--samples", "10", "--format", "json-like-summary"]
+    assert run(argv) == 0
+    golden = Path(__file__).parent / "golden" / f"{suite}.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -147,6 +148,9 @@ PSI_13 = 3317044064679887385961981
 
 def test_is_prime():
     assert [p for p in range(60) if is_prime(p)] == primes_up_to(59)
+    for value in (2.0, True, "7"):  # ints only: no float, bool or string
+        with pytest.raises(ValueError, match=re.escape(f"primality is defined for integers, got {value!r}")):
+            is_prime(value)
     assert is_prime(2**31 - 1)
     assert not is_prime(2**31)
     assert not is_prime(1) and not is_prime(-7)

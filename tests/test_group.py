@@ -21,6 +21,7 @@ from qdrings.errors import (
 )
 from qdrings.foundations import INF, Characteristic, char_geq, factorization, meet, vp
 from qdrings.group import (
+    GroupElement,
     Qd1Group,
     add,
     build_group,
@@ -42,6 +43,7 @@ from qdrings.group import (
 )
 from qdrings.oracle import TrialConfig, height_oracle, heights_agree, random_element, random_group
 from qdrings.ring import make_mult, multiply, principal_absolute_ideal
+from qdrings.subgroup import torsion_inv
 
 CHI_A = Characteristic(0, {2: 2, 3: INF})
 CHI_B = Characteristic(0, {2: 1})
@@ -108,6 +110,30 @@ def test_elem_basis_and_validation():
             zmul(value, e)
         with pytest.raises(ValueError, match=re.escape(f"torsion residue must be an integer, got {value!r}")):
             GB.elem_qb(1, value)
+
+
+def test_build_is_the_only_constructor():
+    with pytest.raises(TypeError):
+        GroupElement(GA, 1, 1, {})
+    for G in (GA, GB):
+        for g in (_build(G, 3, 1, {2: 1}), G.zero(), G.basis_element()):
+            assert g._group is G and g._pai is None and g._fp is None
+        assert G.zero() == G.elem(0) and G.zero()._num == 0 and G.zero()._overrides == {}
+        assert G.basis_element() == G.elem(1) and G.basis_element()._num == 1
+
+
+def test_reprs_and_foreign_comparisons():
+    g = GA.elem(1, {2: 3})
+    mult = make_mult(GA, g)
+    d = torsion_inv(GA, Characteristic(0))
+    assert repr(GA) == "Qd1Group('default=0;2:2,3:inf')"
+    assert repr(g) == "<r=1;2:3 in reduced cochar=default=0;2:2,3:inf>"
+    assert repr(GB.elem_qb(1, 1)) == "<q=1;b=1 in nonreduced m=2 (Q (+) Z_2)>"
+    assert repr(mult) == "<multiplication m=r=1;2:3 on reduced cochar=default=0;2:2,3:inf>"
+    assert repr(d) == "<T(eta=default=inf;2:0) in reduced cochar=default=0;2:2,3:inf>"
+    for value in (CHI_A, GA, g, mult, d):
+        assert value.__eq__(object()) is NotImplemented
+        assert value != 1 and not value == "x"
 
 
 def test_invalid_denominator_with_two_large_primes_is_rejected_without_factoring(deadline, capsys):

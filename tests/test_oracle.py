@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdrings.foundations import INF, MAX_EXPONENT, Characteristic, is_prime
-from qdrings.group import _check_denominator, build_group, char_of, coordinate_residue, height, zmul
+from qdrings.group import (
+    _check_denominator,
+    build_group,
+    canonical_elem_str,
+    char_of,
+    coordinate_residue,
+    height,
+    zmul,
+)
 from qdrings.mutations import (
     certifier_skipping_verification,
     lowered_eta,
@@ -27,6 +35,9 @@ from qdrings.oracle import (
     random_nonzero_torsion,
     ring_axiom_check,
     sample_member,
+    _below,
+    _draw_primes,
+    _input_digest,
 )
 from qdrings.ring import make_mult, principal_ideal
 from qdrings.subgroup import (
@@ -53,6 +64,8 @@ def test_trial_config_validation():
         TrialConfig(seed=1, max_prime=3)
     with pytest.raises(ValueError):
         TrialConfig(seed=1, samples_per_instance=0)
+    with pytest.raises(ValueError):
+        TrialConfig(seed=1, max_exp=0)
     smallest = TrialConfig(seed=1, trials=1, max_prime=5, max_exp=1, samples_per_instance=1)
     assert smallest.primes == (2, 3, 5)
     with pytest.raises(ValueError, match="at least 5"):
@@ -90,8 +103,9 @@ def test_height_oracle_examples():
     assert height_oracle(GA.zero(), 7, 6) == 6
     assert height_oracle(GB.elem_qb(1, 0), 2, 6) == 6
     assert height_oracle(GA.zero(), 7, 0) == 0 and height_oracle(GA.zero(), 7, 12) == 12
-    with pytest.raises(ValueError):
-        height_oracle(E, 2, 13)
+    for bound in (-1, 13):
+        with pytest.raises(ValueError):
+            height_oracle(E, 2, bound)
 
 
 def test_height_oracle_never_consults_the_closed_form():
@@ -194,20 +208,24 @@ def test_descriptor_memos_are_transparent():
 
 
 class _Scripted(random.Random):
-    """A Random whose random() and choice() give fixed answers and count their calls."""
+    """A Random whose random() and getrandbits() give fixed answers and count their calls.
+
+    Every getrandbits(k) returns pick % 3, which lies below 3 and below CFG.max_exp, so each
+    integer draw takes one call and random_characteristic picks the default (0, finite, inf)[pick].
+    """
 
     def __init__(self, value: float, pick: int):
         super().__init__(0)
-        self.value, self.pick = value, pick
-        self.calls = {"random": 0, "choice": 0}
+        self.value, self.bits = value, pick % 3
+        self.calls = {"random": 0, "getrandbits": 0}
 
     def random(self):
         self.calls["random"] += 1
         return self.value
 
-    def choice(self, seq):
-        self.calls["choice"] += 1
-        return seq[self.pick]
+    def getrandbits(self, k):
+        self.calls["getrandbits"] += 1
+        return self.bits
 
 
 @pytest.mark.parametrize(
@@ -221,8 +239,37 @@ class _Scripted(random.Random):
 def test_random_group_falls_back_after_200_rejected_draws(reduced, pick, fallback):
     rng = _Scripted(0.99, pick)  # 0.99 keeps every prime off the exceptions
     G = random_group(rng, CFG, reduced=reduced, with_torsion=reduced is None)
-    assert rng.calls["choice"] == 200  # one choice of default per draw
+    assert rng.calls["getrandbits"] == 2 * 200  # a finite value and the pick of the default per draw
     assert G.cochar == Characteristic.parse(fallback)
+
+
+def test_below_draws_what_randrange_draws():
+    ours, theirs = random.Random(5), random.Random(5)
+    for n in [*range(1, 70), 2**20, 2**20 + 1, 10**30]:
+        for _ in range(20):
+            r = _below(ours.getrandbits, n)
+            assert 0 <= r < n and r == theirs.randrange(n)
+
+
+class _CountingHashes(tuple):
+    hashes = 0
+
+    def __hash__(self):
+        type(self).hashes += 1
+        return super().__hash__()
+
+
+def test_draw_primes_is_memoised_per_prime_list_and_a_repeat_hashes_nothing():
+    G = build_group(Characteristic(0, {2: 2, 3: 1, 7: INF}))
+    small, large = TrialConfig(seed=1, max_prime=5), TrialConfig(seed=1, max_prime=13)
+    object.__setattr__(small, "primes", _CountingHashes(small.primes))
+    first = _draw_primes(G, small)
+    assert first == ((2, 3), (5,), ())  # slots, zero-value primes, inf-value primes
+    hashes = _CountingHashes.hashes
+    assert _draw_primes(G, small) is first and _CountingHashes.hashes == hashes
+    assert _draw_primes(G, large) == ((2, 3), (5, 11, 13), (7,))
+    assert _draw_primes(G, small) is first  # found again under its key, not as the last list
+    assert _draw_primes(build_group(G.cochar), small) == first and _CountingHashes.hashes > hashes
 
 
 def test_random_nonzero_torsion_falls_back_after_100_zero_draws():
@@ -242,6 +289,22 @@ def test_two_way_check_passes_on_sound_descriptors():
     trivial = make_mult(GA, GA.zero())
     report = ideal_two_way_check(trivial, zmul(3, E), principal_ideal(trivial, zmul(3, E)), CFG)
     assert report.passed
+
+
+def test_two_way_check_reports_each_product_that_leaves_a_too_small_descriptor():
+    mult = make_mult(GA, E)
+    g = zmul(2, E)
+    too_small = torsion_inv(GA, char_of(g))  # no non-torsion element, so every product leaves it
+    report = ideal_two_way_check(mult, g, too_small, CFG)
+    # replay the forward draws with the stdlib methods _below stands for: k is randint(-8, 8)
+    rng = CFG.rng("ideal", _input_digest(GA.cochar, E, g))
+    expected = []
+    for _ in range(CFG.samples_per_instance):
+        x = random_element(GA, rng, CFG, torsion=rng.random() < 0.3)
+        k = rng.randint(-8, 8)
+        expected.append(f"product g*{canonical_elem_str(x)}+{k}g left the descriptor")
+    assert report.fail_index == 0 and report.failures[: len(expected)] == expected
+    assert report.to_dict()["failures"] == expected[:5]
 
 
 def test_two_way_check_reports_are_deterministic():
@@ -368,7 +431,7 @@ def test_lowered_torsion_floor_is_detected_by_the_backward_direction(chi, m, g, 
 
 def test_dropped_defining_element_is_detected_by_the_axiom_check():
     report = ring_axiom_check(make_mult(GA, E2), CFG, product=product_dropping_m)
-    assert not report.passed
+    assert not report.passed and report.fail_index == 0  # the basis square, checked first
     report_unital = ring_axiom_check(make_mult(GA, E), CFG, product=product_dropping_m)
     assert not report_unital.passed  # additivity in the defining element fails
 

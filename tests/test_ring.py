@@ -28,7 +28,16 @@ from qdrings.ring import (
     solve_in_principal,
     torsion_witness,
 )
-from qdrings.subgroup import DescriptorKind, contains, equals, full_inv, plus_cyclic, torsion_inv
+from qdrings.subgroup import (
+    DescriptorKind,
+    SubgroupDescriptor,
+    contains,
+    equals,
+    full_inv,
+    parse_descriptor,
+    plus_cyclic,
+    torsion_inv,
+)
 
 CHI_A = Characteristic(0, {2: 2, 3: INF})
 GA = build_group(CHI_A)
@@ -63,6 +72,37 @@ def test_multiply_with_torsion_square():
     assert multiply(TORSION_RING, E, E) == E2
     assert multiply(TORSION_RING, E2, E2) == E2  # 1*1*1 modulo 4
     assert is_torsion(multiply(TORSION_RING, zmul(5, E), GA.elem(Fraction(1, 2), {2: 0})))
+
+
+# a group with the shape of GA but another cocharacteristic, and a second object equal to GA
+FOREIGN = build_group(Characteristic(0, {2: 2, 3: INF, 5: 1}))
+TWIN = build_group(CHI_A)
+
+
+def _rebuilt(G, value):
+    """The element or descriptor with the same text in the group G."""
+    return parse_descriptor(str(value), G) if isinstance(value, SubgroupDescriptor) else G.parse_elem(str(value))
+
+
+@pytest.mark.parametrize(
+    "fn, args, checked",
+    [
+        (make_mult, (GA, E), (1,)),
+        (principal_ideal, (UNITAL, zmul(2, E)), (1,)),
+        (torsion_witness, (E2, zmul(2, E2)), (1,)),
+        (solve_in_principal, (UNITAL, zmul(2, E), zmul(6, E)), (1, 2)),
+        (certify_member, (TORSION_RING, zmul(2, E), zmul(6, E)), (1, 2)),
+        (contains, (principal_ideal(UNITAL, zmul(2, E)), zmul(6, E)), (1,)),
+        (equals, (principal_ideal(UNITAL, zmul(2, E)), principal_ideal(UNITAL, zmul(2, E))), (1,)),
+        (plus_cyclic, (torsion_inv(GA, Characteristic(0)), zmul(2, E)), (1,)),
+    ],
+)
+def test_a_foreign_argument_is_refused_and_an_equal_group_object_accepted(fn, args, checked):
+    expected = fn(*args)
+    for i in checked:
+        with pytest.raises(GroupMismatchError):
+            fn(*args[:i], _rebuilt(FOREIGN, args[i]), *args[i + 1 :])
+        assert fn(*args[:i], _rebuilt(TWIN, args[i]), *args[i + 1 :]) == expected
 
 
 def test_multiply_nonreduced_acts_summandwise():
