@@ -78,15 +78,14 @@ __all__ = [
 class Qd1Group:
     """A rank-1 quotient divisible group, identified by its cocharacteristic."""
 
-    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots", "_draw_primes", "_draw_last")
+    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots", "_draw_primes")
 
     def __init__(self, cochar: Characteristic):
         self._cochar = cochar
         # keyed by prime only; a finite positive default gives a slot at every prime
         self._slots: dict[int, int] = {}
-        # the primes oracle.random_element draws at, keyed by a TrialConfig's prime list
-        self._draw_primes: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
-        self._draw_last = None  # (prime list, its entry) of the last _draw_primes call
+        # (prime list, the primes oracle.random_element draws at) of the last oracle._draw_primes call
+        self._draw_primes: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
         if is_zero_type(cochar):
             self._torsion_keys = tuple(p for p in cochar.exception_primes if self._slot(p))
             self._modulus = math.prod(self._slot(p) for p in self._torsion_keys)

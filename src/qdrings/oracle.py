@@ -218,11 +218,15 @@ def _below(getrandbits, n: int) -> int:
     This is the loop CPython's ``random.Random`` uses for ``randrange``,
     ``randint`` and ``choice``, so ``_below(gb, n)``, ``a + _below(gb, b - a +
     1)`` and ``s[_below(gb, len(s))]`` draw what ``randrange(n)``,
-    ``randint(a, b)`` and ``choice(s)`` draw on CPython 3.10-3.13.
+    ``randint(a, b)`` and ``choice(s)`` draw on CPython 3.10-3.13.  An empty
+    range, n = 0, raises ValueError as those do; it is tested only on a
+    redraw, which n = 0 always reaches, so a draw that lands pays nothing.
     """
     k = n.bit_length()
     r = getrandbits(k)
     while r >= n:
+        if n < 1:
+            raise ValueError("empty range for _below")
         r = getrandbits(k)
     return r
 
@@ -268,23 +272,22 @@ def _draw_primes(G: Qd1Group, cfg: TrialConfig) -> tuple[tuple[int, ...], ...]:
 
     The slots are the sorted primes of cfg.primes and of the cocharacteristic's
     exceptions that carry a torsion coordinate; the other two are read from
-    cfg.primes.  Memoised on G per prime list, so each group works them out
-    once.  The last prime list asked for is tested by identity first: a
-    tuple does not keep its hash, and a sweep asks with one list throughout.
+    cfg.primes.  Memoised on G for the last prime list asked for, found by
+    identity: a tuple does not keep its hash, and a group is drawn from under
+    one list throughout, so a repeat call hashes nothing.  Another list
+    recomputes and replaces the memo.
     """
     primes = cfg.primes
-    last = G._draw_last
+    last = G._draw_primes
     if last is not None and last[0] is primes:
         return last[1]
-    found = G._draw_primes.get(primes)
-    if found is None:
-        chi = G._cochar
-        found = G._draw_primes[primes] = (
-            tuple(p for p in sorted(set(primes) | set(chi.exception_primes)) if G._slot(p)),
-            tuple(p for p in primes if chi.value(p) == 0),
-            tuple(p for p in primes if chi.value(p) == INF),
-        )
-    G._draw_last = primes, found  # holds the key, so no other tuple can be the one tested
+    chi = G._cochar
+    found = (
+        tuple(p for p in sorted(set(primes) | set(chi.exception_primes)) if G._slot(p)),
+        tuple(p for p in primes if chi.value(p) == 0),
+        tuple(p for p in primes if chi.value(p) == INF),
+    )
+    G._draw_primes = primes, found  # holds the list, so no other tuple can be the one tested
     return found
 
 

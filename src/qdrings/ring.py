@@ -72,8 +72,7 @@ class Multiplication:
     __slots__ = ("_group", "_m")
 
     def __init__(self, group: Qd1Group, m_elt: GroupElement):
-        if m_elt._group is not group:
-            _same_group(group, m_elt)
+        _same_group(group, m_elt)
         self._group = group
         self._m = m_elt
 
@@ -172,8 +171,7 @@ def principal_ideal(mult: Multiplication, g: GroupElement) -> SubgroupDescriptor
     then it is the torsion of g x e plus the multiples of g.
     """
     G = mult._group
-    if g._group is not G:
-        _same_group(G, g)
+    _same_group(G, g)
     if g._num == 0 or mult._m._num != 0:
         return principal_absolute_ideal(g)
     g_times_e = multiply(mult, g, G.basis_element())
@@ -209,7 +207,7 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     if g._num != 0:
         raise UnsupportedCaseError("torsion_witness needs a torsion base element")
     G = g._group
-    if u._group is not G:
+    if u._group is not G:  # a hot site: test identity before paying for the call
         _same_group(G, u)
     if u._num != 0 or not u._overrides.keys() <= g._overrides.keys():
         raise NotAMemberError(f"{u} is not an integer multiple of {g}")
@@ -240,8 +238,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     witness is recomputed before being returned.
     """
     G = mult._group
-    if g._group is not G or b._group is not G:
-        _same_group(G, g, b)
+    _same_group(G, g, b)
     m = mult._m
     if g._num == 0 or m._num == 0:
         raise UnsupportedCaseError(
@@ -289,8 +286,7 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
     product with the basis.
     """
     G = mult._group
-    if g._group is not G or b._group is not G:
-        _same_group(G, g, b)
+    _same_group(G, g, b)
     if g._num == 0:
         try:
             n = torsion_witness(g, b)

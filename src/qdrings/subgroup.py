@@ -68,7 +68,7 @@ class SubgroupDescriptor:
 
     The ``_plans`` slot is a memo that equality and printing ignore.  It
     holds what ``oracle.sample_member`` works out once per prime list: it is
-    keyed by a ``TrialConfig``'s ``primes``, as ``Qd1Group._draw_primes`` is.
+    keyed by a ``TrialConfig``'s ``primes``.
     """
 
     __slots__ = ("_group", "_kind", "_eta", "_generator", "_plans")
@@ -169,8 +169,7 @@ def plus_cyclic(d: SubgroupDescriptor, g: GroupElement) -> SubgroupDescriptor:
     if d._kind is not DescriptorKind.TORSION:
         raise UnsupportedCaseError("plus_cyclic extends a torsion descriptor")
     G = d._group
-    if g._group is not G:
-        _same_group(G, g)
+    _same_group(G, g)
     if g._num == 0:  # Z*g is the torsion at g's heights, so the floors meet
         return torsion_inv(G, meet(d._eta, char_of(g)))
     return SubgroupDescriptor(G, DescriptorKind.SUM, d._eta, _canonical_generator(d._eta, g))
@@ -228,7 +227,7 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
     ``group._finite_height_primes`` allows them finite.  A ``SUM`` reduces to
     its torsion part once the right multiple of the generator is subtracted.
     """
-    if x._group is not d._group:
+    if x._group is not d._group:  # a hot site: test identity before paying for the call
         _same_group(d._group, x)
     kind = d._kind
     if kind is DescriptorKind.FULL:
@@ -270,8 +269,7 @@ def _is_eta_index(n: int, eta: Characteristic) -> bool:
 
 def equals(d1: SubgroupDescriptor, d2: SubgroupDescriptor) -> bool:
     """Exact set equality of two descriptors over the same group."""
-    if d2._group is not d1._group:
-        _same_group(d1._group, d2)
+    _same_group(d1._group, d2)
     k1, k2 = d1._kind, d2._kind
     if k1 is k2:
         if k1 is DescriptorKind.SUM:

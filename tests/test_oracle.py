@@ -251,6 +251,12 @@ def test_below_draws_what_randrange_draws():
             assert 0 <= r < n and r == theirs.randrange(n)
 
 
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_below_refuses_an_empty_range(n):
+    with pytest.raises(ValueError):
+        _below(random.Random(5).getrandbits, n)
+
+
 class _CountingHashes(tuple):
     hashes = 0
 
@@ -259,17 +265,17 @@ class _CountingHashes(tuple):
         return super().__hash__()
 
 
-def test_draw_primes_is_memoised_per_prime_list_and_a_repeat_hashes_nothing():
+def test_draw_primes_is_memoised_for_the_last_prime_list_and_never_hashes_it():
     G = build_group(Characteristic(0, {2: 2, 3: 1, 7: INF}))
     small, large = TrialConfig(seed=1, max_prime=5), TrialConfig(seed=1, max_prime=13)
     object.__setattr__(small, "primes", _CountingHashes(small.primes))
     first = _draw_primes(G, small)
     assert first == ((2, 3), (5,), ())  # slots, zero-value primes, inf-value primes
-    hashes = _CountingHashes.hashes
-    assert _draw_primes(G, small) is first and _CountingHashes.hashes == hashes
+    assert _draw_primes(G, small) is first  # found by identity
     assert _draw_primes(G, large) == ((2, 3), (5, 11, 13), (7,))
-    assert _draw_primes(G, small) is first  # found again under its key, not as the last list
-    assert _draw_primes(build_group(G.cochar), small) == first and _CountingHashes.hashes > hashes
+    assert _draw_primes(G, small) == first  # worked out again after the other list
+    assert _draw_primes(build_group(G.cochar), small) == first
+    assert _CountingHashes.hashes == 0
 
 
 def test_random_nonzero_torsion_falls_back_after_100_zero_draws():
