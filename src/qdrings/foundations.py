@@ -383,12 +383,15 @@ class Characteristic:
     __slots__ = ("_default", "_exceptions")
 
     def __init__(self, default: ExtNat, exceptions: Mapping[int, ExtNat] | None = None):
-        _check_extnat(default, "default")
+        # a plain nonnegative int passes each check on its first test
+        if type(default) is not int or default < 0:
+            _check_extnat(default, "default")
         exc: dict[int, ExtNat] = {}
         for p, v in (exceptions or {}).items():
-            if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
+            if (type(p) is not int and (isinstance(p, bool) or not isinstance(p, int))) or not is_prime(p):
                 raise ValueError(f"exception key {p!r} is not prime")
-            _check_extnat(v, f"value at {p}")
+            if type(v) is not int or v < 0:
+                _check_extnat(v, f"value at {p}")
             if v != default:
                 exc[p] = v
         self._default = default

@@ -385,7 +385,7 @@ def neg(g: GroupElement) -> GroupElement:
 
 
 def zmul(n: int, g: GroupElement) -> GroupElement:
-    if isinstance(n, bool) or not isinstance(n, int):
+    if type(n) is not int and (isinstance(n, bool) or not isinstance(n, int)):
         raise ValueError(f"integer multiple expected, got {n!r}")
     G = g._group
     slots = G._slots
@@ -409,13 +409,18 @@ def height(g: GroupElement, p: int) -> ExtNat:
 def _height(g: GroupElement, p: int) -> ExtNat:
     # height without the primality test, for a p already known to be prime
     G = g._group
-    k = G._cochar.value(p)
-    if k == 0:
+    q = G._slots.get(p)
+    if q is None:
+        q = G._slot(p)
+    if q:
+        a = g._overrides.get(p)
+        if a is None:
+            a = _implied(g._num, g._den, q)
+        return INF if a == 0 else _int_vp(a, p)
+    # no finite torsion coordinate: the value at p is 0 or inf
+    if g._num == 0 or G._cochar.value(p) == 0:
         return INF
-    if k == INF:
-        return INF if g._num == 0 else _int_vp(g._num, p) - _int_vp(g._den, p)
-    a = _residue(g, p, G._slot(p))
-    return INF if a == 0 else _int_vp(a, p)
+    return _int_vp(g._num, p) - _int_vp(g._den, p)
 
 
 def _finite_height_primes(g: GroupElement) -> AbstractSet[int] | None:
@@ -457,8 +462,9 @@ def order(g: GroupElement) -> ExtNat:
     if g._num != 0:
         return INF
     n = 1
+    slots = g._group._slots  # every override key has its slot memoised
     for p, a in g._overrides.items():
-        q = g._group._slot(p)
+        q = slots[p]
         n = math.lcm(n, q // math.gcd(a, q))
     return n
 
@@ -565,9 +571,12 @@ def _free_part(g: GroupElement, support: AbstractSet[int]) -> tuple[int, Fractio
 def _tail(g: GroupElement, support: frozenset[int]) -> GroupElement:
     """The torsion part of g supported on the given primes, which must be slot primes of its group."""
     G = g._group
+    go = g._overrides
     ov = {}
     for p in support:
-        ov[p] = _residue(g, p, G._slot(p))
+        # an override is the coordinate itself; any other prime may not have its slot memoised yet
+        a = go.get(p)
+        ov[p] = _implied(g._num, g._den, G._slot(p)) if a is None else a
     return _build(G, 0, 1, ov)
 
 

@@ -341,15 +341,20 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
     """A member of the described subgroup, generated from the floor rather than by rejection.
 
     What the draws need besides the rng depends only on d and on the prime
-    list ``cfg.primes``, so it is worked out once per pair and memoised in
-    ``d._plans`` under that list: the torsion plan of the floor (of its
+    list ``cfg.primes``, so it is worked out once and memoised in ``d._plan``
+    with the list it was made for: the torsion plan of the floor (of its
     normalised torsion floor for ``G(eta)``) and, for ``G(eta)``, the steps of
-    ``_full_member``.  A descriptor used under two prime lists keeps a plan for
-    each, and draws as a fresh descriptor would.
+    ``_full_member``.  The list is found by identity, as in ``_draw_primes``,
+    so a repeat call hashes nothing; another list recomputes and replaces the
+    memo, and the descriptor draws as a fresh one would.
     """
-    plan = d._plans.get(cfg.primes)
-    if plan is None:
-        plan = d._plans[cfg.primes] = _plan(d, cfg.primes)
+    primes = cfg.primes
+    last = d._plan
+    if last is not None and last[0] is primes:
+        plan = last[1]
+    else:
+        plan = _plan(d, primes)
+        d._plan = primes, plan  # holds the list, so no other tuple can be the one tested
     G, kind = d._group, d._kind
     if kind is DescriptorKind.TORSION:
         return _torsion_member(G, plan, rng)
@@ -375,16 +380,17 @@ def _plan(d: SubgroupDescriptor, primes: tuple[int, ...]) -> tuple:
     chi = G._cochar
     if d._kind is not DescriptorKind.FULL:
         return _torsion_plan(G, eta, primes)
-    steps = []  # (p, kind, p**v, room) in the order the draws consume the rng
+    steps = []  # (p, kind, p**v, room) in the order the draws consume the rng; a "rho" step
+    # reads no room and a "zero" step only its prime, so those fields are None
     for p in sorted(set(primes) | set(chi.exception_primes) | set(eta.exception_primes)):
         k, v = chi.value(p), eta.value(p)
         if k == INF:
             if 0 < v < INF:
-                steps.append((p, "rho", p**v, 0))
+                steps.append((p, "rho", p**v, None))
         elif k > 0:
             q = G._slot(p)  # _build reads the memoised slot of every key
             if v == INF:
-                steps.append((p, "zero", 0, 0))
+                steps.append((p, "zero", None, None))
             else:
                 steps.append((p, "floor" if v > 0 else "maybe", p**v, q // p**v))
     # the primes that may enter the denominator, and whether their cocharacteristic value is 0

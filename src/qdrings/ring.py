@@ -67,14 +67,26 @@ __all__ = [
 
 
 class Multiplication:
-    """A ring structure on its group, pinned down by the square of the basis element."""
+    """A ring structure on its group, pinned down by the square of the basis element.
 
-    __slots__ = ("_group", "_m")
+    The ``_memo`` slot holds what the witness paths work out from the ring
+    and one generator alone, for the last generator asked about, found by
+    identity (an element does not keep its hash).  The square of the basis
+    fixes which path can run, so one slot serves both: with a torsion square,
+    ``certify_member`` keeps ``(g, e, zero, g x e)``; with a non-torsion one,
+    ``solve_in_principal`` keeps ``(g, support, tail, order of tail)``, the
+    tail of g over its last support.  Another generator or support recomputes
+    and replaces it.  It is a cache of values the ring already determines, so
+    equality and hashing ignore it.
+    """
+
+    __slots__ = ("_group", "_m", "_memo")
 
     def __init__(self, group: Qd1Group, m_elt: GroupElement):
         _same_group(group, m_elt)
         self._group = group
         self._m = m_elt
+        self._memo: tuple | None = None
 
     @property
     def group(self) -> Qd1Group:
@@ -212,8 +224,9 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     if u._num != 0 or not u._overrides.keys() <= g._overrides.keys():
         raise NotAMemberError(f"{u} is not an integer multiple of {g}")
     n, M = 0, 1  # n in [0, M) solves the congruences of the slots seen so far
+    slots = G._slots
     for p, a in g._overrides.items():
-        q = G._slot(p)
+        q = slots[p]
         d = math.gcd(a, q)  # the p-power part of a; q when a = 0, which leaves n free modulo 1
         modulus = q // d
         c, r = divmod(u._overrides.get(p, 0), d)  # a torsion u is 0 wherever it has no override
@@ -252,8 +265,13 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     # the tail of m is never read, so it is not built
     m_scale, m_frac, m_support = _free_part(m, b._overrides.keys())
     g_scale, r_frac, support = _free_part(g, m_support)
-    tail = _tail(g, support)
-    n = int(order(tail))
+    memo = mult._memo
+    if memo is not None and memo[0] is g and memo[1] == support:
+        _, _, tail, n = memo
+    else:
+        tail = _tail(g, support)
+        n = order(tail)
+        mult._memo = g, support, tail, n
     w = torsion_witness(tail, _tail(b, support))
 
     # the free parts combine in ints: k1/k2 = b / g_scale - w * r in lowest terms, k2 > 0
@@ -286,8 +304,8 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
     product with the basis.
     """
     G = mult._group
-    _same_group(G, g, b)
     if g._num == 0:
+        _same_group(G, g)  # torsion_witness checks b against the group of g
         try:
             n = torsion_witness(g, b)
         except NotAMemberError:
@@ -295,12 +313,18 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
         return PrincipalWitness(G.zero(), n)
     if mult._m._num != 0:
         return solve_in_principal(mult, g, b)
+    _same_group(G, g, b)
     # all products are torsion: members are k*g plus a multiple of g x e, and only
     # k = _quotient(b, g) can leave a torsion t; the tests below reject any other t
     k = _quotient(b, g)
     t = add(b, zmul(-k, g))
-    e, zero = G.basis_element(), G.zero()
-    g_times_e = multiply(mult, g, e)
+    memo = mult._memo
+    if memo is not None and memo[0] is g:
+        _, e, zero, g_times_e = memo
+    else:
+        e, zero = G.basis_element(), G.zero()
+        g_times_e = multiply(mult, g, e)
+        mult._memo = g, e, zero, g_times_e
     if g_times_e == zero:
         if t != zero:
             return None

@@ -66,12 +66,13 @@ class DescriptorKind(enum.Enum):
 class SubgroupDescriptor:
     """A normalized descriptor; build through full_inv, torsion_inv, or plus_cyclic.
 
-    The ``_plans`` slot is a memo that equality and printing ignore.  It
-    holds what ``oracle.sample_member`` works out once per prime list: it is
-    keyed by a ``TrialConfig``'s ``primes``.
+    The ``_plan`` slot is a memo that equality and printing ignore.  It
+    holds the last ``TrialConfig.primes`` list that ``oracle.sample_member``
+    drew under, with the plan it worked out for that list, or None; the list
+    is found by identity, so no draw hashes it.
     """
 
-    __slots__ = ("_group", "_kind", "_eta", "_generator", "_plans")
+    __slots__ = ("_group", "_kind", "_eta", "_generator", "_plan")
 
     def __init__(
         self,
@@ -84,7 +85,7 @@ class SubgroupDescriptor:
         self._kind = kind
         self._eta = eta
         self._generator = generator
-        self._plans: dict[tuple[int, ...], tuple] = {}
+        self._plan: tuple[tuple[int, ...], tuple] | None = None
 
     @property
     def group(self) -> Qd1Group:
@@ -129,9 +130,9 @@ class SubgroupDescriptor:
 
 def _normalize(G: Qd1Group, eta: Characteristic, rule) -> Characteristic:
     """Apply rule(cochar value, floor value) at the default and at every exception prime."""
-    chi = G._cochar
-    primes = set(chi.exception_primes) | set(eta.exception_primes)
-    return Characteristic(rule(chi._default, eta._default), {p: rule(chi.value(p), eta.value(p)) for p in primes})
+    ce, cd = G._cochar._exceptions, G._cochar._default
+    ee, ed = eta._exceptions, eta._default
+    return Characteristic(rule(cd, ed), {p: rule(ce.get(p, cd), ee.get(p, ed)) for p in ce.keys() | ee.keys()})
 
 
 def _normalize_torsion_eta(G: Qd1Group, eta: Characteristic) -> Characteristic:

@@ -304,6 +304,20 @@ def test_characteristic_validation():
         Characteristic(-1)
     with pytest.raises(ValueError):
         Characteristic(0, {2: -3})
+    # a plain int passes on its first test; anything else gets the full check and its message
+    for bad in (True, False, 1.5, Fraction(1), "1", -1):
+        with pytest.raises(ValueError, match=re.escape(f"default must be a nonnegative integer or INF, got {bad!r}")):
+            Characteristic(bad)
+        with pytest.raises(ValueError, match=re.escape(f"value at 2 must be a nonnegative integer or INF, got {bad!r}")):
+            Characteristic(0, {2: bad})
+    for bad in (True, 2.0, Fraction(2), "2", 4):
+        with pytest.raises(ValueError, match=re.escape(f"exception key {bad!r} is not prime")):
+            Characteristic(0, {bad: 1})
+
+    class Wide(int):
+        pass
+
+    assert Characteristic(Wide(1), {Wide(2): Wide(3), 3: INF}) == Characteristic(1, {2: 3, 3: INF})
 
 
 def test_characteristic_parse_round_trip_examples():

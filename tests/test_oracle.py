@@ -38,6 +38,7 @@ from qdrings.oracle import (
     _below,
     _draw_primes,
     _input_digest,
+    _plan,
 )
 from qdrings.ring import make_mult, principal_ideal
 from qdrings.subgroup import (
@@ -178,8 +179,8 @@ def test_generators_build_what_the_public_constructor_builds(seed, reduced, size
 
 
 def test_descriptor_memos_are_transparent():
-    # sample_member fills _plans, one plan per prime list; a descriptor used under one list,
-    # then another, then the first again, draws as fresh descriptors do
+    # sample_member keeps the plan of the last prime list in _plan; a descriptor used under one
+    # list, then another, then the first again, draws as fresh descriptors do
     wide, narrow = TrialConfig(seed=1, max_prime=13), TrialConfig(seed=1, max_prime=7)
     rng = random.Random(41)
     kinds = set()
@@ -202,7 +203,7 @@ def test_descriptor_memos_are_transparent():
             x = random_element(G, used, cfg, torsion=used.random() < 0.5)
             assert contains(d, x) == contains(fresh(), x)
             assert x == random_element(G, unused, cfg, torsion=unused.random() < 0.5)
-        assert sorted(d._plans) == sorted([wide.primes, narrow.primes])
+        assert d._plan[0] is wide.primes
         assert d == fresh() and str(d) == str(fresh()) and repr(d) == repr(fresh())
     assert kinds == set(DescriptorKind)
 
@@ -276,6 +277,39 @@ def test_draw_primes_is_memoised_for_the_last_prime_list_and_never_hashes_it():
     assert _draw_primes(G, small) == first  # worked out again after the other list
     assert _draw_primes(build_group(G.cochar), small) == first
     assert _CountingHashes.hashes == 0
+
+
+def test_sample_member_keeps_the_plan_of_the_last_prime_list_and_never_hashes_it():
+    G = build_group(Characteristic(0, {2: 2, 3: 1, 7: INF}))
+    small, large = TrialConfig(seed=1, max_prime=5), TrialConfig(seed=1, max_prime=13)
+    object.__setattr__(small, "primes", _CountingHashes(small.primes))
+    before = _CountingHashes.hashes
+    d = full_inv(G, Characteristic(0, {2: 1}))
+    sample_member(d, random.Random(0), small)
+    first = d._plan
+    assert first[0] is small.primes and first[1] == _plan(d, small.primes)
+    sample_member(d, random.Random(1), small)
+    assert d._plan is first  # found by identity, not worked out again
+    sample_member(d, random.Random(2), large)
+    assert d._plan[0] is large.primes and d._plan[1] == _plan(d, large.primes)
+    sample_member(d, random.Random(3), small)
+    assert d._plan[0] is small.primes and d._plan[1] == first[1]
+    assert _CountingHashes.hashes == before
+
+
+def test_plan_steps_hold_only_what_full_member_reads():
+    # 2: inf with floor 2 is a rho step; 3: slot 9 with floor inf a zero step; 5: slot 25 with
+    # floor 1 a floor step; 7: slot 7 with floor 0 a maybe step
+    G = build_group(Characteristic(1, {2: INF, 3: 2, 5: 2}))
+    d = full_inv(G, Characteristic(0, {2: 2, 3: INF, 5: 1}))
+    assert d.kind is DescriptorKind.FULL
+    _, steps, _ = _plan(d, (2, 3, 5, 7))
+    assert steps == (
+        (2, "rho", 4, None),
+        (3, "zero", None, None),
+        (5, "floor", 5, 5),
+        (7, "maybe", 1, 7),
+    )
 
 
 def test_random_nonzero_torsion_falls_back_after_100_zero_draws():

@@ -306,6 +306,56 @@ def test_certify_member_rejects_non_members():
     assert certify_member(TRIVIAL, zmul(3, E), E) is None
 
 
+def _foreign(G):
+    """A group that is not G, in which the text of any element drawn under CFG parses."""
+    chi = G.cochar
+    return build_group(Characteristic(chi.default, {**dict(chi.exception_items()), 43: 2 if chi.default == 1 else 1}))
+
+
+@pytest.mark.parametrize("torsion_square", [False, True])
+def test_a_warm_witness_memo_is_transparent(torsion_square):
+    # one long-lived ring per group, generators interleaved at random (a torsion one, which
+    # reads no memo, and two non-torsion ones), members of varying support and non-members:
+    # every answer is the answer of a fresh ring, and a foreign argument is still refused
+    rng = random.Random(31 + torsion_square)
+    seen = set()  # regimes run, and how each memo-reading call found the memo
+    for _ in range(30):
+        G = random_group(rng, CFG, with_torsion=True)
+        m = random_element(G, rng, CFG, torsion=torsion_square)
+        mult = make_mult(G, m)
+        gens = [random_element(G, rng, CFG, torsion=True)]
+        gens += [random_element(G, rng, CFG) for _ in range(2)]
+        other = _foreign(G)
+        for _ in range(24):
+            i = rng.randrange(3)
+            g = gens[i]
+            x = random_element(G, rng, CFG, torsion=rng.random() < 0.4)
+            b = add(multiply(mult, g, x), zmul(rng.randint(-6, 6), g)) if rng.random() < 0.7 else x
+            before = mult._memo
+            w = certify_member(mult, g, b)
+            assert w == certify_member(make_mult(G, m), g, b)
+            if w is not None:
+                assert add(multiply(mult, g, w.y), zmul(w.k, g)) == b
+            seen.add("torsion generator" if i == 0 else "torsion square" if torsion_square else "full")
+            if i and (torsion_square or w is not None):  # a non-member of G(char g) stops before it
+                memo = mult._memo
+                assert memo[0] is g  # the memo now holds this generator
+                if before is None or before[0] is not g:
+                    seen.add("other generator")
+                elif memo is before:
+                    seen.add("hit")
+                else:  # worked out again: only a new support may miss
+                    assert not torsion_square and before[1] != memo[1]
+                    seen.add("other support")
+            for args in ((other.parse_elem(str(g)), b), (g, other.parse_elem(str(b)))):
+                with pytest.raises(GroupMismatchError):
+                    certify_member(mult, *args)
+    if torsion_square:  # this memo has no support: g x e depends on g alone
+        assert seen == {"torsion generator", "torsion square", "other generator", "hit"}
+    else:
+        assert seen == {"torsion generator", "full", "other generator", "hit", "other support"}
+
+
 # -- classification ----------------------------------------------------------------
 
 def test_classification_examples():
@@ -334,6 +384,10 @@ def test_multiplication_equality():
     assert UNITAL == same and hash(UNITAL) == hash(same)
     assert UNITAL != TORSION_RING
     assert make_mult(GA, GA.zero()) != make_mult(GC, GC.zero())
+    warm = make_mult(GA, GA.zero())  # the witness memo takes no part in equality or hashing
+    certify_member(warm, zmul(3, E), zmul(6, E))
+    assert warm._memo is not None
+    assert warm == make_mult(GA, GA.zero()) and hash(warm) == hash(make_mult(GA, GA.zero()))
 
 
 def test_non_absolute_ideal_witness_examples():

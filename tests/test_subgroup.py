@@ -146,6 +146,18 @@ def test_plus_cyclic_examples():
         plus_cyclic(trivial, GB.elem_qb(1, 0))
 
 
+def test_a_non_torsion_element_or_remainder_never_belongs_to_a_torsion_part():
+    # in Q (+) Z_2 every element dominates the floor T(eta=0) normalises to, so only the
+    # torsion test of contains keeps a non-torsion x, or a non-torsion remainder, out
+    torsion = torsion_inv(GB, Characteristic(0))
+    assert contains(torsion, GB.elem_qb(0, 1))
+    assert not contains(torsion, GB.elem_qb(1, 0)) and not contains(torsion, GB.elem_qb(Fraction(1, 3), 1))
+    line = plus_cyclic(torsion, GB.elem_qb(2, 0))
+    assert contains(line, GB.elem_qb(4, 1)) and contains(line, GB.elem_qb(-2, 0))
+    for x in (GB.elem_qb(1, 0), GB.elem_qb(3, 1), GB.elem_qb(Fraction(1, 2), 0), GB.elem_qb(-1, 1)):
+        assert not contains(line, x)  # x - k*g keeps a nonzero rational for every integer k
+
+
 def test_cyclic_line_excludes_fractions_of_the_generator():
     e0 = GA.elem(1, {2: 0})
     line = plus_cyclic(torsion_inv(GA, Characteristic(INF)), e0)
