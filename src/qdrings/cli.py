@@ -13,7 +13,6 @@ that does not start with "-", which is the one argparse dispatches to.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import InvariantError, ParseError, RingIsAIError
@@ -191,6 +190,8 @@ def _cmd_verify(args) -> int:
     )
     reports = run_suite(args.suite, cfg)
     if args.format_ == "json-like-summary":
+        import json  # loaded by this format alone, so no other command pays for it
+
         print(json.dumps(suite_summary(args.suite, cfg, reports), indent=2))
     else:
         for r in reports:

@@ -12,9 +12,9 @@ value is an `int`, and `Characteristic` admits nothing else.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Mapping, Union
 
 from .errors import FactorizationBudgetError, ParseError
 
@@ -41,7 +41,7 @@ __all__ = [
 
 
 INF = math.inf
-ExtNat = Union[int, float]
+ExtNat = int | float
 
 
 def _check_extnat(value, what: str) -> None:

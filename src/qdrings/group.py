@@ -31,9 +31,9 @@ prime that divides the denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Mapping, Set as AbstractSet
 from fractions import Fraction
-from typing import AbstractSet, Mapping
 
 from .errors import (
     GroupMismatchError,
@@ -195,13 +195,14 @@ class GroupElement:
     ``_den > 0``; ``rational`` builds the ``Fraction`` on demand.  In either
     group kind an override is kept exactly where the coefficient does not
     imply that coordinate (see ``_build``).
-    Two slots are memos, None until first asked for, and equality, hashing
+    Three slots are memos, None until first asked for, and equality, hashing
     and printing ignore them: ``_pai`` holds ``ring.principal_absolute_ideal``
-    of the element, and ``_fp`` holds the scale, rational and base support of
-    its free part (see ``_free_part``).
+    of the element, ``_fp`` holds the scale, rational and base support of
+    its free part (see ``_free_part``), and ``_tw`` holds the per-slot data
+    ``ring.torsion_witness`` reads from a torsion base element.
     """
 
-    __slots__ = ("_group", "_num", "_den", "_overrides", "_pai", "_fp")
+    __slots__ = ("_group", "_num", "_den", "_overrides", "_pai", "_fp", "_tw")
 
     @property
     def group(self) -> Qd1Group:
@@ -273,8 +274,8 @@ _new = object.__new__
 def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
     """Normalize and allocate; the single constructor of ``GroupElement``, for both group kinds.
 
-    It allocates the element with ``object.__new__`` and sets its six slots,
-    the two memos to None; ``GroupElement`` has no ``__init__``, so no second
+    It allocates the element with ``object.__new__`` and sets its seven slots,
+    the three memos to None; ``GroupElement`` has no ``__init__``, so no second
     frame runs per element.  The coefficient num/den needs den > 0; it is
     brought to lowest terms here.  The overrides hold residues already
     reduced modulo their slots, at primes that have been through
@@ -303,6 +304,7 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
     g._overrides = ov
     g._pai = None
     g._fp = None
+    g._tw = None
     return g
 
 
@@ -511,21 +513,18 @@ def _finite_positive_chi_divisors(G: Qd1Group, n: int) -> set[int]:
     return {p for p in primes if n % p == 0 and G._slot(p)}
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "scale rational tail support")):
     """The canonical splitting of an element of either group kind.
 
     The element equals scale * rational * e0 + tail, where e0 is the basis
     element with its torsion coordinate zeroed on the support, the tail is a
     torsion element supported there, and the rational is a fraction whose
     primes avoid the complement of the support inside the nonzero-value
-    primes of the cocharacteristic.
+    primes of the cocharacteristic.  Fields: the int scale, the Fraction
+    rational, the GroupElement tail and the frozenset support.
     """
 
-    scale: int
-    rational: Fraction
-    tail: GroupElement
-    support: frozenset[int]
+    __slots__ = ()
 
     def recombine(self) -> GroupElement:
         G = self.tail.group

@@ -9,9 +9,7 @@ configured seed and the check inputs.
 
 from __future__ import annotations
 
-import hashlib
 import random
-from dataclasses import dataclass, field
 
 from .errors import InvalidDenominatorError, InvariantError
 from .foundations import (
@@ -71,48 +69,92 @@ _NONZERO_NUMERATORS = tuple(n for n in range(-40, 41) if n)
 _RHO_MAGNITUDES = tuple(range(1, 30))
 
 
-@dataclass(frozen=True)
 class TrialConfig:
-    """Bounds and seeding for randomized sweeps."""
+    """Bounds and seeding for randomized sweeps.
 
-    seed: int
-    trials: int = 100
-    max_prime: int = 13
-    max_exp: int = 4
-    samples_per_instance: int = 20
-    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    Immutable: assignment raises AttributeError.  ``primes``, every prime up
+    to ``max_prime``, is derived, so it is neither printed nor compared.
+    """
 
-    def __post_init__(self):
-        if self.trials < 1 or self.max_exp < 1 or self.samples_per_instance < 1:
+    __slots__ = ("seed", "trials", "max_prime", "max_exp", "samples_per_instance", "primes")
+
+    def __init__(
+        self, seed: int, trials: int = 100, max_prime: int = 13, max_exp: int = 4, samples_per_instance: int = 20
+    ):
+        if trials < 1 or max_exp < 1 or samples_per_instance < 1:
             raise ValueError("trials, max_exp and samples_per_instance must be positive")
-        if self.max_prime < 5:
+        if max_prime < 5:
             raise ValueError("max_prime must be at least 5 so divisible and finite primes coexist")
-        if self.max_prime > MAX_PRIME_BOUND:
+        if max_prime > MAX_PRIME_BOUND:
             raise ValueError(f"max_prime must be at most {MAX_PRIME_BOUND}")
-        if self.max_exp > MAX_EXPONENT:
+        if max_exp > MAX_EXPONENT:
             raise ValueError(f"max_exp must be at most {MAX_EXPONENT}")
-        if self.trials > MAX_TRIALS:
+        if trials > MAX_TRIALS:
             raise ValueError(f"trials must be at most {MAX_TRIALS}")
-        if self.samples_per_instance > MAX_SAMPLES:
+        if samples_per_instance > MAX_SAMPLES:
             raise ValueError(f"samples_per_instance must be at most {MAX_SAMPLES}")
-        # sieved once per sweep; every generator draws from these primes
-        object.__setattr__(self, "primes", tuple(primes_up_to(self.max_prime)))
+        # the primes are sieved once per sweep; every generator draws from them
+        values = (seed, trials, max_prime, max_exp, samples_per_instance, tuple(primes_up_to(max_prime)))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple[int, ...]:
+        return self.seed, self.trials, self.max_prime, self.max_exp, self.samples_per_instance
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TrialConfig:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"TrialConfig(seed={self.seed!r}, trials={self.trials!r}, max_prime={self.max_prime!r}, "
+            f"max_exp={self.max_exp!r}, samples_per_instance={self.samples_per_instance!r})"
+        )
 
     def rng(self, *path) -> random.Random:
         """An independent stream derived from the seed and a stable label path."""
+        import hashlib  # only sweeps draw; the other commands never load it
+
         label = ":".join([str(self.seed), *map(str, path)])
         digest = hashlib.sha256(label.encode()).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass
 class CheckReport:
     """Line-oriented outcome of one named check."""
 
-    name: str
-    trials: int = 0
-    failures: list[str] = field(default_factory=list)
-    fail_index: int | None = None
+    __slots__ = ("name", "trials", "failures", "fail_index")
+
+    def __init__(
+        self, name: str, trials: int = 0, failures: list[str] | None = None, fail_index: int | None = None
+    ):
+        self.name = name
+        self.trials = trials
+        self.failures = [] if failures is None else failures
+        self.fail_index = fail_index
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CheckReport:
+            return NotImplemented
+        return (self.name, self.trials, self.failures, self.fail_index) == (
+            other.name, other.trials, other.failures, other.fail_index
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"CheckReport(name={self.name!r}, trials={self.trials!r}, failures={self.failures!r}, "
+            f"fail_index={self.fail_index!r})"
+        )
 
     @property
     def passed(self) -> bool:
@@ -459,6 +501,8 @@ def _full_member(G: Qd1Group, plan, rng) -> GroupElement:
 
 
 def _input_digest(*parts) -> str:
+    import hashlib
+
     return hashlib.sha256("|".join(map(str, parts)).encode()).hexdigest()[:12]
 
 

@@ -12,7 +12,7 @@ fully invariant).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import InvariantError, NotAMemberError, RingIsAIError, UnsupportedCaseError
@@ -108,28 +108,24 @@ class Multiplication:
         return f"<multiplication m={self._m} on {self._group}>"
 
 
-@dataclass(frozen=True)
-class PrincipalWitness:
-    """Certificate that b = g x y + k*g inside the ideal generated by g."""
+class PrincipalWitness(namedtuple("PrincipalWitness", "y k")):
+    """Certificate that b = g x y + k*g inside the ideal generated by g: a GroupElement y and an int k."""
 
-    y: GroupElement
-    k: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"y={self.y};k={self.k}"
 
 
-@dataclass(frozen=True)
-class NonAbsoluteWitness:
+class NonAbsoluteWitness(namedtuple("NonAbsoluteWitness", "e0 p violator")):
     """Certificate that a ring has an ideal that is not an absolute ideal.
 
-    The principal ideal of e0 is exactly its cyclic group, while the violator
-    shares the characteristic of e0 without being one of its multiples.
+    The principal ideal of the GroupElement e0 is exactly its cyclic group,
+    while the GroupElement violator shares the characteristic of e0 without
+    being one of its multiples; p is the prime the violator divides e0 by.
     """
 
-    e0: GroupElement
-    p: int
-    violator: GroupElement
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"e0={self.e0};p={self.p};x={self.violator}"
@@ -214,7 +210,8 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
     slot of g; otherwise NotAMemberError.  The unit pins n down modulo q/d, and
     the congruences combine by the Chinese remainder theorem as they come, with
     one inverse per slot; the result is verified by recomputation.  A zero u
-    gets the order of g.
+    gets the order of g.  The per-slot data of g, its inverses among them, is
+    worked out once per element and memoised in g's ``_tw`` slot.
     """
     if g._num != 0:
         raise UnsupportedCaseError("torsion_witness needs a torsion base element")
@@ -223,21 +220,30 @@ def torsion_witness(g: GroupElement, u: GroupElement) -> int:
         _same_group(G, u)
     if u._num != 0 or not u._overrides.keys() <= g._overrides.keys():
         raise NotAMemberError(f"{u} is not an integer multiple of {g}")
-    n, M = 0, 1  # n in [0, M) solves the congruences of the slots seen so far
-    slots = G._slots
-    for p, a in g._overrides.items():
-        q = slots[p]
-        d = math.gcd(a, q)  # the p-power part of a; q when a = 0, which leaves n free modulo 1
-        modulus = q // d
-        c, r = divmod(u._overrides.get(p, 0), d)  # a torsion u is 0 wherever it has no override
+    plan = g._tw
+    if plan is None:
+        # per slot of g, (p, d, q/d, a/d, M, the inverse of (a/d)*M mod q/d), where M is the
+        # product of the moduli q/d of the slots before it; pow(x, -1, 1) is 0
+        steps, M = [], 1
+        slots = G._slots
+        for p, a in g._overrides.items():
+            q = slots[p]
+            d = math.gcd(a, q)  # the p-power part of a; q when a = 0, which leaves n free modulo 1
+            modulus = q // d
+            steps.append((p, d, modulus, a // d, M, pow(a // d * M, -1, modulus)))
+            M *= modulus
+        plan = g._tw = tuple(steps), M  # M is the order of g
+    steps, order_g = plan
+    uo = u._overrides
+    n = 0  # n in [0, M) solves the congruences of the slots seen so far
+    for p, d, modulus, unit, M, inverse in steps:
+        c, r = divmod(uo.get(p, 0), d)  # a torsion u is 0 wherever it has no override
         if r:
             raise NotAMemberError(f"{u} is not an integer multiple of {g}")
-        # (a/d)*(n + M*t) = c (mod q/d), solved for t with one inverse; pow(x, -1, 1) is 0
-        n += M * ((c - a // d * n) * pow(a // d * M, -1, modulus) % modulus)
-        M *= modulus
+        n += M * ((c - unit * n) * inverse % modulus)  # (a/d)*(n + M*t) = c (mod q/d), solved for t
     if zmul(n, g) != u:
         raise InvariantError("torsion witness failed recomputation", cochar=G._cochar, g=g, u=u)
-    return n or M  # M is the order of g
+    return n or order_g
 
 
 def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -> PrincipalWitness | None:

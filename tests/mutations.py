@@ -10,10 +10,10 @@ the sensitivity test asserts exactly that.
 
 from __future__ import annotations
 
-from .foundations import INF, Characteristic
-from .group import GroupElement
-from .ring import Multiplication, PrincipalWitness, certify_member, multiply
-from .subgroup import DescriptorKind, SubgroupDescriptor, full_inv, plus_cyclic, torsion_inv
+from qdrings.foundations import INF, Characteristic
+from qdrings.group import GroupElement
+from qdrings.ring import Multiplication, PrincipalWitness, certify_member, multiply
+from qdrings.subgroup import DescriptorKind, SubgroupDescriptor, full_inv, plus_cyclic, torsion_inv
 
 __all__ = ["certifier_skipping_verification", "lowered_eta", "product_dropping_m"]
 

@@ -11,11 +11,6 @@ import pytest
 
 from qdrings.foundations import INF, Characteristic
 from qdrings.group import build_group, height, zmul
-from qdrings.mutations import (
-    certifier_skipping_verification,
-    lowered_eta,
-    product_dropping_m,
-)
 from qdrings.oracle import (
     TrialConfig,
     height_oracle,
@@ -27,6 +22,12 @@ from qdrings.oracle import (
 )
 from qdrings.ring import make_mult, principal_ideal
 from qdrings.suites import run_suite
+
+from mutations import (
+    certifier_skipping_verification,
+    lowered_eta,
+    product_dropping_m,
+)
 
 SEED = 20260811
 

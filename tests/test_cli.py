@@ -8,7 +8,10 @@ import pkgutil
 import random
 import re
 import runpy
+import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,10 +22,11 @@ from qdrings.cli import run
 from qdrings.errors import ParseError
 from qdrings.foundations import INF, MAX_HEIGHT, Characteristic
 from qdrings.group import Qd1Group, add, build_group, char_of, zmul
-from qdrings.mutations import lowered_eta, product_dropping_m
 from qdrings.oracle import TrialConfig, random_characteristic, random_element, ring_axiom_check
 from qdrings.ring import make_mult, multiply, principal_absolute_ideal, principal_ideal, torsion_witness
 from qdrings.subgroup import contains, descriptor_str, equals, full_inv, parse_descriptor, torsion_inv
+
+from mutations import lowered_eta, product_dropping_m
 
 CHI_A = "default=0;2:2,3:inf"
 
@@ -585,6 +589,36 @@ def test_python_dash_m_exits_with_the_run_code(capsys, monkeypatch, argv, code):
         runpy.run_module("qdrings", run_name="__main__")
     assert exc.value.code == code
     assert (capsys.readouterr().out == "") == (code == 2)
+
+
+# loaded by no command but verify; the first four come with dataclasses
+_COLD_START_UNLOADED = ("dataclasses", "inspect", "ast", "dis", "tokenize", "hashlib", "json", "typing")
+
+
+def test_a_cold_start_loads_only_what_its_command_runs(deadline):
+    # a fresh interpreter without site, which would load typing and more on its own
+    child = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {str(Path(qdrings.__file__).resolve().parent.parent)!r})
+        import qdrings, qdrings.cli
+        codes = [
+            qdrings.cli.run(["group", "describe", "--cochar", {CHI_A!r}]),
+            qdrings.cli.run(["ring", "mul", "--cochar", {CHI_A!r}, "--m", "r=1", "--g", "r=2", "--b", "r=3"]),
+        ]
+        print("loaded", *codes, *[m for m in {_COLD_START_UNLOADED!r} if m in sys.modules])
+        sys.exit(qdrings.cli.run(["verify", "--suite", "lemma2.3", "--seed", "5", "--trials", "3",
+                                  "--format", "json-like-summary"]))
+        """
+    )
+    with deadline(60.0):
+        proc = subprocess.run([sys.executable, "-S", "-c", child], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    describe, mul, loaded, summary = proc.stdout.split("\n", 3)
+    assert (describe, mul) == (f"reduced cochar={CHI_A}", "r=6")
+    assert loaded == "loaded 0 0"  # both commands exit 0, and none of the modules is loaded
+    doc = json.loads(summary)
+    assert doc["suite"] == "lemma2.3" and doc["passed"] is True
 
 
 # -- grammar round trips ---------------------------------------------------------

@@ -117,7 +117,7 @@ def test_build_is_the_only_constructor():
         GroupElement(GA, 1, 1, {})
     for G in (GA, GB):
         for g in (_build(G, 3, 1, {2: 1}), G.zero(), G.basis_element()):
-            assert g._group is G and g._pai is None and g._fp is None
+            assert g._group is G and g._pai is None and g._fp is None and g._tw is None
         assert G.zero() == G.elem(0) and G.zero()._num == 0 and G.zero()._overrides == {}
         assert G.basis_element() == G.elem(1) and G.basis_element()._num == 1
 

@@ -16,11 +16,6 @@ from qdrings.group import (
     height,
     zmul,
 )
-from qdrings.mutations import (
-    certifier_skipping_verification,
-    lowered_eta,
-    product_dropping_m,
-)
 from qdrings.oracle import (
     MAX_PRIME_BOUND,
     MAX_SAMPLES,
@@ -49,6 +44,12 @@ from qdrings.subgroup import (
     full_inv,
     plus_cyclic,
     torsion_inv,
+)
+
+from mutations import (
+    certifier_skipping_verification,
+    lowered_eta,
+    product_dropping_m,
 )
 
 GA = build_group(Characteristic(0, {2: 2, 3: INF}))

@@ -282,6 +282,33 @@ def test_torsion_witness_decides_membership_like_the_torsion_descriptor(seed, mu
     assert (n == order(g)) == (u == G.zero())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64))
+def test_a_warm_torsion_witness_plan_is_transparent(seed):
+    # the first call fills g._tw; members, non-members and a zero u then get what a fresh
+    # element gets, every later call keeps the memo object, and g compares and prints as before
+    rng = random.Random(seed)
+    G = random_group(rng, CFG, with_torsion=True)
+    g = random_element(G, rng, CFG, torsion=True)
+    torsion_witness(g, G.zero())
+    plan = g._tw
+    assert plan is not None
+    us = [G.zero(), zmul(rng.randint(-60, 60), g), random_element(G, rng, CFG)]
+    us += [random_element(G, rng, CFG, torsion=True) for _ in range(3)]
+    for u in us:
+        fresh = G.elem(0, g.overrides)
+        assert fresh._tw is None
+        answers = []
+        for base in (fresh, g):
+            try:
+                answers.append(torsion_witness(base, u))
+            except NotAMemberError:
+                answers.append(None)
+        assert answers[0] == answers[1]
+        assert g._tw is plan and fresh._tw in (None, plan)  # None when u was rejected before the plan
+    assert g == fresh and hash(g) == hash(fresh) and str(g) == str(fresh) and repr(g) == repr(fresh)
+
+
 def test_certify_member_covers_all_cases():
     rng = random.Random(13)
     for mult, g in [
