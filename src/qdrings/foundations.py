@@ -350,11 +350,8 @@ def factorization(n: int) -> dict[int, int]:
         if p * p > n:  # n has no prime factor below p, so it is 1 or prime
             break
         if n % p == 0:
-            k = 0
-            while n % p == 0:
-                n //= p
-                k += 1
-            out[p] = k
+            k = out[p] = _int_vp(n, p)
+            n //= p**k
     if n > 1:
         _factor_into(n, out)
     return dict(sorted(out.items()))
@@ -427,11 +424,7 @@ class Characteristic:
         return char_geq(other, self)
 
     def canonical_str(self) -> str:
-        head = f"default={self._default}"
-        if not self._exceptions:
-            return head
-        body = ",".join(f"{p}:{v}" for p, v in self._exceptions.items())
-        return f"{head};{body}"
+        return f"default={self._default}{_items_str(self._exceptions.items())}"
 
     __str__ = canonical_str
 
@@ -444,25 +437,7 @@ class Characteristic:
 
         The bound is MAX_EXPONENT for a cocharacteristic and MAX_HEIGHT for a floor.
         """
-        pos = _expect(text, 0, "default=")
-        default, pos = _scan_value(text, pos, bound)
-        exc: dict[int, ExtNat] = {}
-        if pos < len(text):
-            pos = _expect(text, pos, ";")
-            while True:
-                key_pos = pos
-                p, pos = _scan_uint(text, pos)
-                if not is_prime(p):
-                    raise ParseError(text, key_pos, "a prime")
-                if p in exc:
-                    raise ParseError(text, key_pos, "a prime not listed before")
-                pos = _expect(text, pos, ":")
-                v, pos = _scan_value(text, pos, bound)
-                exc[p] = v
-                if pos == len(text):
-                    break
-                pos = _expect(text, pos, ",")
-        return cls(default, exc)
+        return _scan_characteristic(text, 0, len(text), bound)
 
 
 def equivalent(c1: Characteristic, c2: Characteristic) -> bool:
@@ -486,6 +461,13 @@ def is_idempotent_type(c: Characteristic) -> bool:
     return c.default in (0, INF)
 
 
+def _pointwise(a: Characteristic, b: Characteristic, rule) -> Characteristic:
+    """rule(a(p), b(p)) at every prime: at the two defaults and at every exception prime of either."""
+    ae, ad = a._exceptions, a._default
+    be, bd = b._exceptions, b._default
+    return Characteristic(rule(ad, bd), {p: rule(ae.get(p, ad), be.get(p, bd)) for p in ae.keys() | be.keys()})
+
+
 def char_geq(a: Characteristic, b: Characteristic) -> bool:
     """Pointwise order: a(p) >= b(p) at every prime."""
     if not a.default >= b.default:
@@ -498,9 +480,7 @@ def char_geq(a: Characteristic, b: Characteristic) -> bool:
 
 def meet(a: Characteristic, b: Characteristic) -> Characteristic:
     """Pointwise minimum (the greatest lower bound for char_geq)."""
-    default = min(a.default, b.default)
-    exc = {p: min(a.value(p), b.value(p)) for p in set(a.exception_primes) | set(b.exception_primes)}
-    return Characteristic(default, exc)
+    return _pointwise(a, b, min)
 
 
 # ---------------------------------------------------------------------------
@@ -514,8 +494,9 @@ def _expect(text: str, pos: int, literal: str) -> int:
 
 
 def _scan_uint(text: str, pos: int) -> tuple[int, int]:
+    """A run of ASCII digits; str.isdigit and int() would also take other scripts' digits."""
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos] in "0123456789":  # text[pos] is one character
         pos += 1
     if pos == start:
         raise ParseError(text, pos, "a digit")
@@ -538,3 +519,41 @@ def _scan_value(text: str, pos: int, bound: int) -> tuple[ExtNat, int]:
     if v > bound:
         raise ParseError(text, pos, f"inf or an integer at most {bound}")
     return v, end
+
+
+def _scan_items(text: str, pos: int, end: int, key_expected: str, is_key, scan_value) -> dict:
+    """The one `[;p:v,...]` loop: the pairs from pos, which must run exactly to end.
+
+    A key is an integer that is_key accepts (else a ParseError expecting
+    key_expected at it) and that was not listed before; scan_value(text, pos, key)
+    returns the value at pos and the position after it.
+    """
+    items = {}
+    if pos == end:
+        return items
+    pos = _expect(text, pos, ";")
+    while True:
+        key_pos = pos
+        p, pos = _scan_uint(text, pos)
+        if not is_key(p):
+            raise ParseError(text, key_pos, key_expected)
+        if p in items:
+            raise ParseError(text, key_pos, "a prime not listed before")
+        pos = _expect(text, pos, ":")
+        items[p], pos = scan_value(text, pos, p)
+        if pos == end:
+            return items
+        pos = _expect(text, pos, ",")
+
+
+def _items_str(items) -> str:
+    """The `[;p:v,...]` text of (key, value) pairs, in the order given; the one printer of it."""
+    return ";" + ",".join(f"{p}:{v}" for p, v in items) if items else ""
+
+
+def _scan_characteristic(text: str, pos: int, end: int, bound: int) -> Characteristic:
+    """`default=<v>[;p:v,...]` from pos, running exactly to end; v is `inf` or an integer 0..bound."""
+    pos = _expect(text, pos, "default=")
+    default, pos = _scan_value(text, pos, bound)
+    exc = _scan_items(text, pos, end, "a prime", is_prime, lambda text, pos, p: _scan_value(text, pos, bound))
+    return Characteristic(default, exc)

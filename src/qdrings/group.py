@@ -48,7 +48,9 @@ from .foundations import (
     ExtNat,
     _expect,
     _int_vp,
+    _items_str,
     _scan_int,
+    _scan_items,
     _scan_uint,
     crt,
     factorization,
@@ -172,7 +174,7 @@ class Qd1Group:
         return _build(self, 1, 1, {})
 
     def parse_elem(self, text: str) -> "GroupElement":
-        return _parse_element(self, text)
+        return _scan_element(self, text, 0)
 
 
 def build_group(cochar: Characteristic) -> Qd1Group:
@@ -195,14 +197,13 @@ class GroupElement:
     ``_den > 0``; ``rational`` builds the ``Fraction`` on demand.  In either
     group kind an override is kept exactly where the coefficient does not
     imply that coordinate (see ``_build``).
-    Three slots are memos, None until first asked for, and equality, hashing
+    Two slots are memos, None until first asked for, and equality, hashing
     and printing ignore them: ``_pai`` holds ``ring.principal_absolute_ideal``
-    of the element, ``_fp`` holds the scale, rational and base support of
-    its free part (see ``_free_part``), and ``_tw`` holds the per-slot data
+    of the element, and ``_tw`` holds the per-slot data
     ``ring.torsion_witness`` reads from a torsion base element.
     """
 
-    __slots__ = ("_group", "_num", "_den", "_overrides", "_pai", "_fp", "_tw")
+    __slots__ = ("_group", "_num", "_den", "_overrides", "_pai", "_tw")
 
     @property
     def group(self) -> Qd1Group:
@@ -274,8 +275,8 @@ _new = object.__new__
 def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> GroupElement:
     """Normalize and allocate; the single constructor of ``GroupElement``, for both group kinds.
 
-    It allocates the element with ``object.__new__`` and sets its seven slots,
-    the three memos to None; ``GroupElement`` has no ``__init__``, so no second
+    It allocates the element with ``object.__new__`` and sets its six slots,
+    the two memos to None; ``GroupElement`` has no ``__init__``, so no second
     frame runs per element.  The coefficient num/den needs den > 0; it is
     brought to lowest terms here.  The overrides hold residues already
     reduced modulo their slots, at primes that have been through
@@ -303,7 +304,6 @@ def _build(group: Qd1Group, num: int, den: int, overrides: dict[int, int]) -> Gr
     g._den = den
     g._overrides = ov
     g._pai = None
-    g._fp = None
     g._tw = None
     return g
 
@@ -543,28 +543,24 @@ def decompose(g: GroupElement, support: AbstractSet[int] = frozenset()) -> Decom
     """
     for p in support:
         _coordinate_slot(g._group, p)
-    scale, rational, support = _free_part(g, support)
+    scale, rational, base = _free_part(g)
+    support = base.union(support)
     return Decomposition(scale, rational, _tail(g, support), support)
 
 
-def _free_part(g: GroupElement, support: AbstractSet[int]) -> tuple[int, Fraction, frozenset[int]]:
-    """Scale, rational and support of ``decompose(g, support)``, without building its tail.
+def _free_part(g: GroupElement) -> tuple[int, Fraction, frozenset[int]]:
+    """Scale, rational and base support of ``decompose(g)``, without building its tail.
 
-    Only the support depends on the given primes: the scale, the rational and
-    the base support (the overrides of g, or every torsion coordinate in
-    Q (+) Z_m, and the slot primes of its numerator) are worked out once per
-    element and memoised in ``g._fp``.
+    The base support is the overrides of g (every torsion coordinate in
+    Q (+) Z_m) and the slot primes of its numerator; a larger support leaves
+    the scale and the rational as they are.
     """
-    if g._fp is None:
-        G = g._group
-        base = frozenset(g._overrides if G._modulus is None else G._torsion_keys)
-        if g._num == 0:
-            g._fp = 0, Fraction(0), base
-        else:
-            scale = c_of(g)
-            g._fp = scale, Fraction(g._num, g._den * scale), base | _finite_positive_chi_divisors(G, g._num)
-    scale, rational, base = g._fp
-    return scale, rational, base.union(support)
+    G = g._group
+    base = frozenset(g._overrides if G._modulus is None else G._torsion_keys)
+    if g._num == 0:
+        return 0, Fraction(0), base
+    scale = c_of(g)
+    return scale, Fraction(g._num, g._den * scale), base | _finite_positive_chi_divisors(G, g._num)
 
 
 def _tail(g: GroupElement, support: frozenset[int]) -> GroupElement:
@@ -589,11 +585,7 @@ def _frac_str(num: int, den: int) -> str:
 
 def canonical_elem_str(g: GroupElement) -> str:
     if g.group.is_reduced:
-        head = f"r={_frac_str(g._num, g._den)}"
-        if not g._overrides:
-            return head
-        body = ",".join(f"{p}:{a}" for p, a in sorted(g._overrides.items()))
-        return f"{head};{body}"
+        return f"r={_frac_str(g._num, g._den)}{_items_str(sorted(g._overrides.items()))}"
     _, b = g.as_pair()
     return f"q={_frac_str(g._num, g._den)};b={b}"
 
@@ -609,43 +601,32 @@ def _scan_fraction(text: str, pos: int) -> tuple[Fraction, int]:
     return Fraction(num), pos
 
 
-def _parse_element(G: Qd1Group, text: str) -> GroupElement:
-    chi = G.cochar
-    if G.is_reduced:
-        pos = _expect(text, 0, "r=")
+def _scan_element(G: Qd1Group, text: str, pos: int) -> GroupElement:
+    """An element of G in the grammar of its group kind, from pos to the end of text."""
+    if G._modulus is None:
+        pos = _expect(text, pos, "r=")
         value_pos = pos
         rational, pos = _scan_fraction(text, pos)
-        ov: dict[int, int] = {}
-        if pos < len(text):
-            pos = _expect(text, pos, ";")
-            while True:
-                key_pos = pos
-                p, pos = _scan_uint(text, key_pos)
-                q = G._slot(p) if is_prime(p) else 0
-                if not q:
-                    raise ParseError(text, key_pos, "a prime with a finite torsion coordinate")
-                if p in ov:
-                    raise ParseError(text, key_pos, "a prime not listed before")
-                pos = _expect(text, pos, ":")
-                res_pos = pos
-                a, pos = _scan_uint(text, res_pos)
-                if a >= q:
-                    raise ParseError(text, res_pos, f"a residue below {p}**{chi.value(p)}")
-                ov[p] = a
-                if pos == len(text):
-                    break
-                pos = _expect(text, pos, ",")
+
+        def scan_residue(text: str, pos: int, p: int) -> tuple[int, int]:
+            a, end = _scan_uint(text, pos)
+            if a >= G._slots[p]:
+                raise ParseError(text, pos, f"a residue below {p}**{G._cochar.value(p)}")
+            return a, end
+
+        key = "a prime with a finite torsion coordinate"
+        ov = _scan_items(text, pos, len(text), key, lambda p: is_prime(p) and G._slot(p), scan_residue)
         try:
             return G.elem(rational, ov)
         except InvalidDenominatorError as exc:
             raise ParseError(text, value_pos, f"a valid denominator ({exc})") from exc
-    pos = _expect(text, 0, "q=")
+    pos = _expect(text, pos, "q=")
     rational, pos = _scan_fraction(text, pos)
     pos = _expect(text, pos, ";b=")
     res_pos = pos
     b, pos = _scan_uint(text, res_pos)
     if pos != len(text):
         raise ParseError(text, pos, "end of input")
-    if b >= G.modulus:
-        raise ParseError(text, res_pos, f"a residue below {G.modulus}")
+    if b >= G._modulus:
+        raise ParseError(text, res_pos, f"a residue below {G._modulus}")
     return G.elem_qb(rational, b)

@@ -74,10 +74,12 @@ class Multiplication:
     identity (an element does not keep its hash).  The square of the basis
     fixes which path can run, so one slot serves both: with a torsion square,
     ``certify_member`` keeps ``(g, e, zero, g x e)``; with a non-torsion one,
-    ``solve_in_principal`` keeps ``(g, support, tail, order of tail)``, the
-    tail of g over its last support.  Another generator or support recomputes
-    and replaces it.  It is a cache of values the ring already determines, so
-    equality and hashing ignore it.
+    ``solve_in_principal`` keeps ``(g, free part of m, free part of g,
+    support, tail, order of tail)``, the free parts as ``group._free_part``
+    gives them and the tail of g over its last support.  Another generator
+    recomputes and replaces it; another support recomputes the tail.  It is
+    a cache of values the ring already determines, so equality and hashing
+    ignore it.
     """
 
     __slots__ = ("_group", "_m", "_memo")
@@ -266,18 +268,18 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     if not contains(principal_absolute_ideal(g), b):
         return None
 
-    # m first: its scale and rational do not depend on the support, and the
-    # support of g then holds every prime of g, m and b that carries a slot;
-    # the tail of m is never read, so it is not built
-    m_scale, m_frac, m_support = _free_part(m, b._overrides.keys())
-    g_scale, r_frac, support = _free_part(g, m_support)
+    # the support holds every prime of g, m and b that carries a slot; the free
+    # parts do not depend on it, and the tail of m is never read, so it is not built
     memo = mult._memo
-    if memo is not None and memo[0] is g and memo[1] == support:
-        _, _, tail, n = memo
-    else:
+    if memo is None or memo[0] is not g:
+        memo = g, _free_part(m), _free_part(g), None, None, None
+    _, m_free, g_free, last_support, tail, n = memo
+    (m_scale, m_frac, m_base), (g_scale, r_frac, g_base) = m_free, g_free
+    support = g_base.union(m_base, b._overrides.keys())
+    if support != last_support:
         tail = _tail(g, support)
         n = order(tail)
-        mult._memo = g, support, tail, n
+        mult._memo = g, m_free, g_free, support, tail, n
     w = torsion_witness(tail, _tail(b, support))
 
     # the free parts combine in ints: k1/k2 = b / g_scale - w * r in lowest terms, k2 > 0

@@ -24,6 +24,8 @@ from .foundations import (
     Characteristic,
     _expect,
     _int_vp,
+    _pointwise,
+    _scan_characteristic,
     meet,
 )
 from .group import (
@@ -36,6 +38,7 @@ from .group import (
     _quotient,
     _residue,
     _same_group,
+    _scan_element,
     add,
     canonical_elem_str,
     char_of,
@@ -128,21 +131,14 @@ class SubgroupDescriptor:
 # ``v if v < k < INF else INF`` for the torsion floor.
 
 
-def _normalize(G: Qd1Group, eta: Characteristic, rule) -> Characteristic:
-    """Apply rule(cochar value, floor value) at the default and at every exception prime."""
-    ce, cd = G._cochar._exceptions, G._cochar._default
-    ee, ed = eta._exceptions, eta._default
-    return Characteristic(rule(cd, ed), {p: rule(ce.get(p, cd), ee.get(p, ed)) for p in ce.keys() | ee.keys()})
-
-
 def _normalize_torsion_eta(G: Qd1Group, eta: Characteristic) -> Characteristic:
-    return _normalize(G, eta, lambda k, v: v if v < k < INF else INF)
+    return _pointwise(G._cochar, eta, lambda k, v: v if v < k < INF else INF)
 
 
 def _normalize_full_eta(G: Qd1Group, eta: Characteristic) -> tuple[Characteristic, bool]:
     """Cap the floor against the cocharacteristic; report whether only torsion can satisfy it."""
     chi = G.cochar
-    norm = _normalize(G, eta, lambda k, v: v if v < k else INF)
+    norm = _pointwise(chi, eta, lambda k, v: v if v < k else INF)
     # A nontorsion element has height 0 at all but finitely many primes of
     # nonzero cocharacteristic, and finite height at every divisible prime.
     collapsed = (chi.default != 0 and norm.default >= 1) or any(
@@ -298,33 +294,18 @@ def descriptor_str(d: SubgroupDescriptor) -> str:
 
 
 def parse_descriptor(text: str, G: Qd1Group) -> SubgroupDescriptor:
-    if text.startswith("G(eta="):
-        inner, end = _scan_to_close(text, len("G(eta="))
-        if end != len(text):
-            raise ParseError(text, end, "end of input")
-        return full_inv(G, _parse_eta(text, len("G(eta="), inner))
-    pos = _expect(text, 0, "T(eta=")
-    inner, end = _scan_to_close(text, pos)
-    eta = _parse_eta(text, pos, inner)
-    if end == len(text):
-        return torsion_inv(G, eta)
-    end = _expect(text, end, "+Z*")
-    try:
-        g = G.parse_elem(text[end:])
-    except ParseError as exc:
-        raise ParseError(text, end + exc.pos, exc.expected) from exc
-    return plus_cyclic(torsion_inv(G, eta), g)
-
-
-def _scan_to_close(text: str, pos: int) -> tuple[str, int]:
+    full = text.startswith("G(eta=")
+    pos = len("G(eta=") if full else _expect(text, 0, "T(eta=")
     close = text.find(")", pos)
     if close < 0:
         raise ParseError(text, len(text), "')'")
-    return text[pos:close], close + 1
-
-
-def _parse_eta(text: str, offset: int, inner: str) -> Characteristic:
-    try:
-        return Characteristic.parse(inner, MAX_HEIGHT)
-    except ParseError as exc:
-        raise ParseError(text, offset + exc.pos, exc.expected) from exc
+    end = close + 1
+    if full:  # text after a full floor is reported before the floor is read
+        if end != len(text):
+            raise ParseError(text, end, "end of input")
+        return full_inv(G, _scan_characteristic(text, pos, close, MAX_HEIGHT))
+    eta = _scan_characteristic(text, pos, close, MAX_HEIGHT)
+    if end == len(text):
+        return torsion_inv(G, eta)
+    pos = _expect(text, end, "+Z*")
+    return plus_cyclic(torsion_inv(G, eta), _scan_element(G, text, pos))

@@ -413,6 +413,35 @@ def test_malformed_descriptors_report_positions_in_the_whole_text(text, pos, exp
     assert (err.value.text, err.value.pos, err.value.expected) == (text, pos, expected)
 
 
+@pytest.mark.parametrize(
+    "kind, text, pos",
+    [
+        ("cochar", "default=\u00b2", 8),
+        ("cochar", "default=\u0663", 8),
+        ("cochar", "default=0;\uff12:1", 10),
+        ("reduced", "r=\u0661\u0662", 2),
+        ("nonreduced", "q=1;b=\u0663", 6),
+        ("floor", "G(eta=default=\u0663)", 14),
+    ],
+    ids=["superscript", "arabic-indic", "fullwidth-key", "reduced", "nonreduced", "floor"],
+)
+def test_numbers_are_ascii_digits_only(capsys, kind, text, pos):
+    # str.isdigit and int() take these digits too; each grammar rejects them where they stand
+    cochar = {"reduced": "default=inf", "nonreduced": "default=0;2:1", "floor": CHI_A}.get(kind)
+    if kind == "cochar":
+        parse, argv = Characteristic.parse, ["group", "describe", "--cochar", text]
+    elif kind == "floor":
+        parse, argv = lambda text: parse_descriptor(text, build_group(Characteristic.parse(cochar))), None
+    else:
+        parse = build_group(Characteristic.parse(cochar)).parse_elem
+        argv = ["elem", "info", "--cochar", cochar, "--elem", text]
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert (exc.value.text, exc.value.pos, exc.value.expected) == (text, pos, "a digit")
+    if argv:
+        assert run_cli(capsys, *argv) == (2, "", f"{exc.value}\n")
+
+
 def test_a_composite_key_passing_twelve_prime_bases_is_rejected(capsys):
     psi_12 = 318665857834031151167461  # 399165290221 * 798330580441
     code, out, err = run_cli(capsys, "group", "describe", "--cochar", f"default=0;{psi_12}:1")
@@ -484,6 +513,18 @@ def test_a_broken_invariant_exits_three(capsys, monkeypatch):
     )
     assert (code, out, err) == (3, "", "internal error: membership witness failed recomputation\n")
     assert issubclass(errors.InvariantError, ArithmeticError)  # the suites record it as a FAIL
+
+
+def test_a_bezout_step_with_a_common_factor_exits_three_with_its_inputs(capsys, monkeypatch):
+    # the guard for support primes leaking into the Bezout step, fired by a bezout that reports gcd 2
+    monkeypatch.setattr("qdrings.ring.bezout", lambda a, b: (0, 0, 2))
+    argv = ["--cochar", "default=inf;2:1", "--m", "r=3", "--g", "r=5", "--b", "r=15"]
+    code, out, err = run_cli(capsys, "ring", "witness", *argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "internal error: support primes leaked into the Bezout step "
+        "cochar=default=inf;2:1 m=r=3 g=r=5 b=r=15\n"
+    )
 
 
 def test_a_failed_recomputation_reports_its_inputs(capsys, monkeypatch):

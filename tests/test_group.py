@@ -43,7 +43,7 @@ from qdrings.group import (
 )
 from qdrings.oracle import TrialConfig, height_oracle, heights_agree, random_element, random_group
 from qdrings.ring import make_mult, multiply, principal_absolute_ideal
-from qdrings.subgroup import torsion_inv
+from qdrings.subgroup import equals, torsion_inv
 
 CHI_A = Characteristic(0, {2: 2, 3: INF})
 CHI_B = Characteristic(0, {2: 1})
@@ -117,7 +117,7 @@ def test_build_is_the_only_constructor():
         GroupElement(GA, 1, 1, {})
     for G in (GA, GB):
         for g in (_build(G, 3, 1, {2: 1}), G.zero(), G.basis_element()):
-            assert g._group is G and g._pai is None and g._fp is None and g._tw is None
+            assert g._group is G and g._pai is None and g._tw is None
         assert G.zero() == G.elem(0) and G.zero()._num == 0 and G.zero()._overrides == {}
         assert G.basis_element() == G.elem(1) and G.basis_element()._num == 1
 
@@ -657,25 +657,28 @@ def test_decompose_checks_the_support_it_is_given():
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32), st.booleans())
 def test_element_memos_are_transparent(seed, reduced):
-    # principal_absolute_ideal fills _pai and _free_part fills _fp; an element with both filled
-    # compares, hashes and prints as a fresh one, and each support gets what a fresh element gets
+    # principal_absolute_ideal fills _pai; an element with it filled compares, hashes and
+    # prints as a fresh one, and _free_part gives it what its definition gives a fresh one
     rng = random.Random(seed)
     G = random_group(rng, CFG, reduced=reduced)
     g = random_element(G, rng, CFG, torsion=rng.random() < 0.3)
-    principal_absolute_ideal(g)
+    pai = principal_absolute_ideal(g)
+    assert g._pai is pai and principal_absolute_ideal(g) is pai
+    fresh = G.elem(g.rational, g.overrides)
+    assert equals(pai, principal_absolute_ideal(fresh)) and fresh._pai is not pai
+    # the base support holds every torsion coordinate of Q (+) Z_m, stored or implied
+    base = set(g.overrides) if reduced else set(G._torsion_keys)
+    if is_torsion(g):
+        expected = (0, 0, frozenset(base))
+    else:
+        base |= {p for p in factorization(g.rational.numerator) if G._slot(p)}
+        expected = (c_of(fresh), fresh.rational / c_of(fresh), frozenset(base))
+    assert _free_part(g) == _free_part(fresh) == expected
     slot_primes = [p for p in CFG.primes if G._slot(p)]
-    for _ in range(4):
+    for _ in range(4):  # a larger support leaves the scale and the rational as they are
         support = frozenset(p for p in slot_primes if rng.random() < 0.5)
-        fresh = G.elem(g.rational, g.overrides)
-        # the base support holds every torsion coordinate of Q (+) Z_m, stored or implied
-        base = set(g.overrides) if reduced else set(G._torsion_keys)
-        if is_torsion(g):
-            expected = (0, 0, frozenset(base | support))
-        else:
-            base |= {p for p in factorization(g.rational.numerator) if G._slot(p)}
-            expected = (c_of(fresh), fresh.rational / c_of(fresh), frozenset(base | support))
-        assert _free_part(g, support) == _free_part(fresh, support) == expected
-    assert g._pai is not None and g._fp is not None
+        d = decompose(g, support)
+        assert (d.scale, d.rational, d.support) == (*expected[:2], expected[2] | support)
     fresh = G.elem(g.rational, g.overrides)
     assert g == fresh and hash(g) == hash(fresh)
     assert str(g) == str(fresh) and repr(g) == repr(fresh)
