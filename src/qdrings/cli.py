@@ -16,7 +16,7 @@ import argparse
 import sys
 
 from .errors import InvariantError, ParseError, RingIsAIError
-from .foundations import MAX_EXPONENT, Characteristic
+from .foundations import MAX_EXPONENT, Characteristic, _scan_int
 from .group import build_group, c_of, char_of, is_torsion, order
 from .oracle import MAX_PRIME_BOUND, MAX_SAMPLES, MAX_TRIALS, TrialConfig
 from .ring import (
@@ -38,6 +38,17 @@ OK = 0
 NEGATIVE = 1
 USAGE = 2
 INTERNAL = 3
+
+
+def _ascii_int(text: str) -> int:
+    """The argparse type of the integer options: the whole token, read as the grammars read a number."""
+    try:
+        n, end = _scan_int(text, 0)
+        if end < len(text):
+            raise ParseError(text, end, "a digit")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return n
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -90,16 +101,16 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a named randomized verification suite")
     if command in (None, "verify"):
         verify.add_argument("--suite", required=True, choices=sorted(SUITE_NAMES))
-        verify.add_argument("--seed", required=True, type=int, help="explicit seed for reproducibility")
-        verify.add_argument("--trials", type=int, default=100, help=f"instances drawn, at most {MAX_TRIALS}")
+        verify.add_argument("--seed", required=True, type=_ascii_int, help="explicit seed for reproducibility")
+        verify.add_argument("--trials", type=_ascii_int, default=100, help=f"instances drawn, at most {MAX_TRIALS}")
         verify.add_argument(
-            "--max-prime", type=int, default=13, help=f"largest prime drawn, at most {MAX_PRIME_BOUND}"
+            "--max-prime", type=_ascii_int, default=13, help=f"largest prime drawn, at most {MAX_PRIME_BOUND}"
         )
         verify.add_argument(
-            "--max-exp", type=int, default=4, help=f"largest exponent drawn, at most {MAX_EXPONENT}"
+            "--max-exp", type=_ascii_int, default=4, help=f"largest exponent drawn, at most {MAX_EXPONENT}"
         )
         verify.add_argument(
-            "--samples", type=int, default=20, help=f"samples per instance, at most {MAX_SAMPLES}"
+            "--samples", type=_ascii_int, default=20, help=f"samples per instance, at most {MAX_SAMPLES}"
         )
         verify.add_argument(
             "--format", choices=("text", "json-like-summary"), default="text", dest="format_"

@@ -364,9 +364,12 @@ def factorization(n: int) -> dict[int, int]:
 # Largest finite value the grammar accepts for a cocharacteristic: a group builds p**v for
 # its torsion slots.
 MAX_EXPONENT = 1000
+# Python's default limit on the digits that int() reads and str() prints; the grammars read
+# numbers of at most this many digits.
+_MAX_DIGITS = 4300
 # Largest finite height of an element whose coefficient prints: 2**14284 is the largest power
-# of 2 within Python's default limit of 4300 digits.  Floors are parsed up to it, so that the
-# characteristics and descriptors the CLI prints parse back.
+# of 2 within _MAX_DIGITS digits.  Floors are parsed up to it, so that the characteristics and
+# descriptors the CLI prints parse back.
 MAX_HEIGHT = 14284
 
 
@@ -470,12 +473,7 @@ def _pointwise(a: Characteristic, b: Characteristic, rule) -> Characteristic:
 
 def char_geq(a: Characteristic, b: Characteristic) -> bool:
     """Pointwise order: a(p) >= b(p) at every prime."""
-    if not a.default >= b.default:
-        return False
-    for p in set(a.exception_primes) | set(b.exception_primes):
-        if not a.value(p) >= b.value(p):
-            return False
-    return True
+    return _pointwise(a, b, min) == b
 
 
 def meet(a: Characteristic, b: Characteristic) -> Characteristic:
@@ -494,12 +492,14 @@ def _expect(text: str, pos: int, literal: str) -> int:
 
 
 def _scan_uint(text: str, pos: int) -> tuple[int, int]:
-    """A run of ASCII digits; str.isdigit and int() would also take other scripts' digits."""
+    """A run of at most _MAX_DIGITS ASCII digits; str.isdigit and int() would also take other scripts' digits."""
     start = pos
     while pos < len(text) and text[pos] in "0123456789":  # text[pos] is one character
         pos += 1
     if pos == start:
         raise ParseError(text, pos, "a digit")
+    if pos - start > _MAX_DIGITS:
+        raise ParseError(text, start, f"a number of at most {_MAX_DIGITS} digits")
     return int(text[start:pos]), pos
 
 

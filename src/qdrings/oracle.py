@@ -37,7 +37,6 @@ from .ring import Multiplication, certify_member, make_mult, multiply
 from .subgroup import (
     DescriptorKind,
     SubgroupDescriptor,
-    _normalize_torsion_eta,
     contains,
     descriptor_str,
 )
@@ -384,11 +383,11 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
 
     What the draws need besides the rng depends only on d and on the prime
     list ``cfg.primes``, so it is worked out once and memoised in ``d._plan``
-    with the list it was made for: the torsion plan of the floor (of its
-    normalised torsion floor for ``G(eta)``) and, for ``G(eta)``, the steps of
-    ``_full_member``.  The list is found by identity, as in ``_draw_primes``,
-    so a repeat call hashes nothing; another list recomputes and replaces the
-    memo, and the descriptor draws as a fresh one would.
+    with the list it was made for: the torsion plan of the floor and, for
+    ``G(eta)``, the steps of ``_full_member``.  The list is found by identity,
+    as in ``_draw_primes``, so a repeat call hashes nothing; another list
+    recomputes and replaces the memo, and the descriptor draws as a fresh one
+    would.
     """
     primes = cfg.primes
     last = d._plan
@@ -412,16 +411,16 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
 
 
 def _plan(d: SubgroupDescriptor, primes: tuple[int, ...]) -> tuple:
-    """The torsion plan of d; for ``G(eta)``, that of its torsion floor and the steps of ``_full_member``.
+    """The torsion plan of d; for ``G(eta)``, also the steps and denominator steps of ``_full_member``.
 
-    The primes visited are those of ``primes`` and the exception primes of
-    the cocharacteristic and of the floor, in increasing order, so every key
-    is prime: it was sieved or ``Characteristic`` checked it.
+    One walk visits the primes of ``primes`` and the exception primes of the
+    cocharacteristic and of the floor, in increasing order, so every key is
+    prime: it was sieved or ``Characteristic`` checked it.  The torsion plan
+    is the steps that carry a room: (p, p**v, slot // p**v) where the floor
+    value v lies below the finite slot exponent.
     """
     G, eta = d._group, d._eta
     chi = G._cochar
-    if d._kind is not DescriptorKind.FULL:
-        return _torsion_plan(G, eta, primes)
     steps = []  # (p, kind, p**v, room) in the order the draws consume the rng; a "rho" step
     # reads no room and a "zero" step only its prime, so those fields are None
     for p in sorted(set(primes) | set(chi.exception_primes) | set(eta.exception_primes)):
@@ -431,24 +430,16 @@ def _plan(d: SubgroupDescriptor, primes: tuple[int, ...]) -> tuple:
                 steps.append((p, "rho", p**v, None))
         elif k > 0:
             q = G._slot(p)  # _build reads the memoised slot of every key
-            if v == INF:
-                steps.append((p, "zero", None, None))
-            else:
+            if v < k:
                 steps.append((p, "floor" if v > 0 else "maybe", p**v, q // p**v))
+            else:
+                steps.append((p, "zero", None, None))
+    torsion_plan = tuple((p, pv, room) for p, _, pv, room in steps if room is not None)
+    if d._kind is not DescriptorKind.FULL:
+        return torsion_plan
     # the primes that may enter the denominator, and whether their cocharacteristic value is 0
     den_steps = tuple((p, chi.value(p) == 0) for p in primes if chi.value(p) != INF)
-    return _torsion_plan(G, _normalize_torsion_eta(G, eta), primes), tuple(steps), den_steps
-
-
-def _torsion_plan(G: Qd1Group, eta: Characteristic, primes: tuple[int, ...]) -> tuple[tuple[int, int, int], ...]:
-    """(p, p**v, slot // p**v) at each prime whose slot has room above the floor value v."""
-    chi = G.cochar
-    plan = []
-    for p in sorted(set(primes) | set(chi.exception_primes) | set(eta.exception_primes)):
-        v = eta.value(p)
-        if v < chi.value(p) < INF:
-            plan.append((p, p**v, G._slot(p) // p**v))
-    return tuple(plan)
+    return torsion_plan, tuple(steps), den_steps
 
 
 def _torsion_member(G: Qd1Group, plan, rng) -> GroupElement:

@@ -42,6 +42,13 @@ __all__ = ["SUITE_NAMES", "run_suite", "suite_summary"]
 _NONZERO_UP_TO_30 = tuple(n for n in range(-30, 31) if n)
 
 
+def _instances(cfg: TrialConfig, label: str, **constraints):
+    """(i, rng, G) for each instance i: its own stream ``cfg.rng(label, i)`` and the group drawn from it."""
+    for i in range(cfg.trials):
+        rng = cfg.rng(label, i)
+        yield i, rng, random_group(rng, cfg, **constraints)
+
+
 def _absorb(target: CheckReport, instance: int, sub: CheckReport) -> None:
     target.trials += sub.trials
     if not sub.passed:
@@ -63,9 +70,7 @@ def suite_ring_axioms(cfg: TrialConfig) -> list[CheckReport]:
 def suite_lemma22(cfg: TrialConfig) -> list[CheckReport]:
     witnesses = CheckReport("lemma2.2-witness")
     multiples = CheckReport("lemma2.2-multiples")
-    for i in range(cfg.trials):
-        rng = cfg.rng("lemma2.2", i)
-        G = random_group(rng, cfg, with_torsion=True)
+    for i, rng, G in _instances(cfg, "lemma2.2", with_torsion=True):
         g = random_nonzero_torsion(G, rng, cfg)
         d = torsion_inv(G, char_of(g))
         bound = int(order(g))
@@ -89,9 +94,7 @@ def suite_lemma22(cfg: TrialConfig) -> list[CheckReport]:
 
 def suite_lemma23(cfg: TrialConfig) -> list[CheckReport]:
     out = CheckReport("lemma2.3-two-way")
-    for i in range(cfg.trials):
-        rng = cfg.rng("lemma2.3", i)
-        G = random_group(rng, cfg, reduced=True)
+    for i, rng, G in _instances(cfg, "lemma2.3", reduced=True):
         mult = make_mult(G, random_element(G, rng, cfg))
         g = random_element(G, rng, cfg)
         _absorb(out, i, ideal_two_way_check(mult, g, principal_ideal(mult, g), cfg))
@@ -105,9 +108,7 @@ def suite_thm24(cfg: TrialConfig) -> list[CheckReport]:
     case2 = CheckReport("thm2.4-case2")
     case3 = CheckReport("thm2.4-case3")
 
-    for i in range(cfg.trials):
-        rng = cfg.rng("thm2.4-case1", i)
-        G = random_group(rng, cfg, with_torsion=True)
+    for i, rng, G in _instances(cfg, "thm2.4-case1", with_torsion=True):
         g = random_nonzero_torsion(G, rng, cfg)
         mult = make_mult(G, random_element(G, rng, cfg, torsion=rng.random() < 0.5))
         d = principal_ideal(mult, g)
@@ -116,17 +117,13 @@ def suite_thm24(cfg: TrialConfig) -> list[CheckReport]:
             case1.record(i, f"instance {i}: ideal of a torsion generator is not its torsion descriptor")
         _absorb(case1, i, ideal_two_way_check(mult, g, d, cfg))
 
-    for i in range(cfg.trials):
-        rng = cfg.rng("thm2.4-clause-reduced", i)
-        G = random_group(rng, cfg, reduced=True, with_torsion=True)
+    for i, rng, G in _instances(cfg, "thm2.4-clause-reduced", reduced=True, with_torsion=True):
         g = random_nonzero_torsion(G, rng, cfg)
         clause_red.trials += 1
         if not equals(full_inv(G, char_of(g)), torsion_inv(G, char_of(g))):
             clause_red.record(i, f"instance {i}: descriptors split in a reduced group")
 
-    for i in range(cfg.trials):
-        rng = cfg.rng("thm2.4-clause-nonreduced", i)
-        G = random_group(rng, cfg, reduced=False)
+    for i, rng, G in _instances(cfg, "thm2.4-clause-nonreduced", reduced=False):
         g = random_element(G, rng, cfg, torsion=True)
         full_d = full_inv(G, char_of(g))
         tors_d = torsion_inv(G, char_of(g))
@@ -138,16 +135,12 @@ def suite_thm24(cfg: TrialConfig) -> list[CheckReport]:
         if not contains(full_d, separating) or contains(tors_d, separating):
             clause_non.record(i, f"instance {i}: separating element {separating} failed")
 
-    for i in range(cfg.trials):
-        rng = cfg.rng("thm2.4-case2", i)
-        G = random_group(rng, cfg)
+    for i, rng, G in _instances(cfg, "thm2.4-case2"):
         mult = make_mult(G, random_element(G, rng, cfg))
         g = random_element(G, rng, cfg)
         _absorb(case2, i, ideal_two_way_check(mult, g, principal_ideal(mult, g), cfg))
 
-    for i in range(cfg.trials):
-        rng = cfg.rng("thm2.4-case3", i)
-        G = random_group(rng, cfg)
+    for i, rng, G in _instances(cfg, "thm2.4-case3"):
         m = random_element(G, rng, cfg, torsion=True) if rng.random() < 0.8 else G.zero()
         mult = make_mult(G, m)
         g = random_element(G, rng, cfg)
@@ -158,9 +151,7 @@ def suite_thm24(cfg: TrialConfig) -> list[CheckReport]:
 
 def suite_thm33(cfg: TrialConfig) -> list[CheckReport]:
     out = CheckReport("thm3.3-principal-absolute")
-    for i in range(cfg.trials):
-        rng = cfg.rng("thm3.3", i)
-        G = random_group(rng, cfg)
+    for i, rng, G in _instances(cfg, "thm3.3"):
         if rng.random() < 0.5 and _draw_primes(G, cfg)[0]:
             g = random_nonzero_torsion(G, rng, cfg)
             pai = principal_absolute_ideal(g)
@@ -198,9 +189,7 @@ def suite_thm34(cfg: TrialConfig) -> list[CheckReport]:
         if not equals(principal_ideal(mult, g), principal_absolute_ideal(g)):
             integers.record(i, f"instance {i}: ideal of {g} is not its absolute ideal")
 
-    for i in range(cfg.trials):
-        rng = cfg.rng("thm3.4", i)
-        G = random_group(rng, cfg)
+    for i, rng, G in _instances(cfg, "thm3.4"):
         while is_integers(G):
             G = random_group(cfg.rng("thm3.4-resample", i), cfg, with_torsion=True)
         m = random_element(G, rng, cfg, torsion=rng.random() < 0.5)
@@ -227,9 +216,7 @@ def suite_mult_iso(cfg: TrialConfig) -> list[CheckReport]:
     round_trip = CheckReport("mult-iso-round-trip")
     additivity = CheckReport("mult-iso-additivity")
     nai_subgroup = CheckReport("mult-iso-nai-subgroup")
-    for i in range(cfg.trials):
-        rng = cfg.rng("mult-iso", i)
-        G = random_group(rng, cfg)
+    for i, rng, G in _instances(cfg, "mult-iso"):
         m = random_element(G, rng, cfg, torsion=rng.random() < 0.4)
         round_trip.trials += 1
         if make_mult(G, m).m_elt != m:

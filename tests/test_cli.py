@@ -304,6 +304,29 @@ def test_verify_exits_one_when_a_check_fails(capsys, monkeypatch):
     assert out.strip() == "FAIL stub trials=1 fail_at=0 detail=synthetic failure"
 
 
+_INTEGER_FLAGS = ("--seed", "--trials", "--max-prime", "--max-exp", "--samples")
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", " 7", "+7", "7 ", "-", ""])
+@pytest.mark.parametrize("flag", _INTEGER_FLAGS)
+def test_verify_integer_options_take_ascii_digits_only(capsys, monkeypatch, flag, text):
+    # int() reads all of these; the options read a number as the grammars do, the whole token
+    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: pytest.fail("a suite ran"))
+    argv = ["verify", "--suite", "ring-axioms", "--seed", "1", f"{flag}={text}"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and f"argument {flag}: parse error at position" in err
+
+
+def test_verify_integer_options_keep_their_values_and_messages(capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda name, cfg: seen.append(cfg) or [])
+    argv = ("--seed", "-5", "--trials", "7", "--max-prime", "11", "--max-exp", "3", "--samples", "0009")
+    assert run_cli(capsys, "verify", "--suite", "thm3.3", *argv) == (0, "", "")
+    assert seen == [TrialConfig(seed=-5, trials=7, max_prime=11, max_exp=3, samples_per_instance=9)]
+    code, out, err = run_cli(capsys, "verify", "--suite", "thm3.3", "--seed", "1", "--trials", "0")
+    assert (code, out) == (2, "") and err == "error: trials, max_exp and samples_per_instance must be positive\n"
+
+
 def _lowered(build):
     return lambda *args: lowered_eta(build(*args))
 
@@ -440,6 +463,27 @@ def test_numbers_are_ascii_digits_only(capsys, kind, text, pos):
     assert (exc.value.text, exc.value.pos, exc.value.expected) == (text, pos, "a digit")
     if argv:
         assert run_cli(capsys, *argv) == (2, "", f"{exc.value}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, pos",
+    [
+        (["group", "describe", "--cochar", "default=" + "1" * 4400], 8),
+        (["elem", "info", "--cochar", "default=inf", "--elem", "r=1/" + "1" * 4400], 4),
+    ],
+    ids=["cochar", "denominator"],
+)
+def test_a_number_of_more_than_4300_digits_is_a_parse_error_at_its_first_digit(capsys, argv, pos):
+    # int() refuses more than 4300 digits by default; the grammars refuse them first, where they start
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error at position {pos}: expected a number of at most 4300 digits in ")
+
+
+def test_a_number_of_4300_digits_still_parses(capsys, deadline):
+    with deadline(2.0):
+        code, out, _ = run_cli(capsys, "elem", "info", "--cochar", "default=0;2:inf", "--elem", "r=" + "9" * 4300)
+    assert code == 0 and out.startswith("elem=r=" + "9" * 4300 + "\n")
 
 
 def test_a_composite_key_passing_twelve_prime_bases_is_rejected(capsys):

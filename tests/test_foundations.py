@@ -439,6 +439,37 @@ def test_char_geq_examples():
     assert c >= zero and c <= top
 
 
+@pytest.mark.parametrize(
+    "a, b, geq",
+    [
+        # the defaults decide: no exception, or exceptions that agree with the answer
+        (Characteristic(2), Characteristic(1), True),
+        (Characteristic(1), Characteristic(2), False),
+        (Characteristic(INF), Characteristic(5), True),
+        (Characteristic(3), Characteristic(INF), False),
+        (Characteristic(1, {2: 5}), Characteristic(2, {2: 3}), False),
+        (Characteristic(INF, {2: 5}), Characteristic(INF, {2: 3}), True),
+        # an exception of a alone decides
+        (Characteristic(3, {5: 1}), Characteristic(2), False),
+        (Characteristic(3, {5: INF}), Characteristic(2), True),
+        (Characteristic(INF, {7: 0}), Characteristic(0), True),
+        (Characteristic(INF, {7: 0}), Characteristic(1), False),
+        # an exception of b alone decides
+        (Characteristic(2), Characteristic(1, {3: 4}), False),
+        (Characteristic(2), Characteristic(1, {3: 2}), True),
+        (Characteristic(INF), Characteristic(0, {3: INF}), True),
+        (Characteristic(5), Characteristic(0, {3: INF}), False),
+    ],
+)
+def test_char_geq_compares_defaults_and_every_exception(a, b, geq):
+    assert char_geq(a, b) is geq and (a >= b) is geq and (b <= a) is geq
+
+
+def test_characteristic_repr_is_its_canonical_text():
+    assert repr(Characteristic(INF, {3: 0, 2: 1})) == "Characteristic('default=inf;2:1,3:0')"
+    assert repr(Characteristic(0)) == "Characteristic('default=0')"
+
+
 @given(characteristics, characteristics, characteristics)
 def test_char_geq_is_a_partial_order(a, b, c):
     assert char_geq(a, a)

@@ -50,6 +50,9 @@ from mutations import (
     certifier_skipping_verification,
     lowered_eta,
     product_dropping_m,
+    product_dropping_signs,
+    product_of_squares,
+    product_squaring_the_first,
 )
 
 GA = build_group(Characteristic(0, {2: 2, 3: INF}))
@@ -313,6 +316,21 @@ def test_plan_steps_hold_only_what_full_member_reads():
     )
 
 
+def test_a_hand_built_torsion_floor_at_or_above_a_slot_exponent_draws_as_its_normal_form():
+    # at 2 the floor equals the slot exponent and at 3 it exceeds it: neither slot has room, so
+    # neither gets a step, and the draws are those of the normalised descriptor, which has inf there
+    G = build_group(Characteristic(0, {2: 2, 3: 1, 5: 2}))
+    eta = Characteristic(0, {2: 2, 3: 5})
+    d = SubgroupDescriptor(G, DescriptorKind.TORSION, eta)
+    normal = torsion_inv(G, eta)
+    assert normal.eta == Characteristic(INF, {5: 0})
+    ours, theirs = random.Random(8), random.Random(8)
+    for _ in range(40):
+        x = sample_member(d, ours, CFG)
+        assert x == sample_member(normal, theirs, CFG) and contains(d, x)
+        assert x.overrides.keys() <= {5}
+
+
 def test_random_nonzero_torsion_falls_back_after_100_zero_draws():
     G = build_group(Characteristic.parse("default=0;2:2,3:1,5:1"))
     rng = _Scripted(0.99, 0)  # 0.99 draws no coordinate, so every torsion draw is zero
@@ -475,6 +493,24 @@ def test_dropped_defining_element_is_detected_by_the_axiom_check():
     assert not report.passed and report.fail_index == 0  # the basis square, checked first
     report_unital = ring_axiom_check(make_mult(GA, E), CFG, product=product_dropping_m)
     assert not report_unital.passed  # additivity in the defining element fails
+
+
+@pytest.mark.parametrize(
+    "product, first",
+    [
+        (product_squaring_the_first, "commutativity failed"),
+        (product_of_squares, "associativity failed"),
+        (product_dropping_signs, "distributivity failed"),
+    ],
+    ids=["commutativity", "associativity", "distributivity"],
+)
+def test_each_broken_ring_law_is_the_first_failure_of_the_axiom_check(product, first):
+    # each product keeps the basis square and breaks one law, so its law is the first to fail
+    for chi in ("default=0;2:2,3:inf", "default=0;2:1", "default=inf;2:2,3:1", "default=1;2:inf"):
+        G = build_group(Characteristic.parse(chi))
+        for m in (G.basis_element(), zmul(-3, G.basis_element())):
+            report = ring_axiom_check(make_mult(G, m), CFG, product=product)
+            assert report.failures[0] == first, (chi, m)
 
 
 def test_skipped_witness_verification_is_detected_by_recomputation():

@@ -97,6 +97,14 @@ def test_trial_config_keeps_its_signature_printing_and_equality():
     assert cfg.rng("a", 1).random() == TrialConfig(seed=3, trials=7).rng("a", 1).random()
 
 
+def test_trial_config_and_check_report_leave_other_types_to_python():
+    # __eq__ returns NotImplemented for another type, so == falls back to identity and is False
+    cfg, report = TrialConfig(seed=3), CheckReport("x")
+    assert cfg.__eq__(cfg._key()) is NotImplemented and cfg != cfg._key()
+    assert report.__eq__("x") is NotImplemented and report != "x"
+    assert cfg != report and report != cfg
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
