@@ -80,14 +80,12 @@ __all__ = [
 class Qd1Group:
     """A rank-1 quotient divisible group, identified by its cocharacteristic."""
 
-    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots", "_draw_primes")
+    __slots__ = ("_cochar", "_modulus", "_torsion_keys", "_slots")
 
     def __init__(self, cochar: Characteristic):
         self._cochar = cochar
         # keyed by prime only; a finite positive default gives a slot at every prime
         self._slots: dict[int, int] = {}
-        # (prime list, the primes oracle.random_element draws at) of the last oracle._draw_primes call
-        self._draw_primes: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
         if is_zero_type(cochar):
             self._torsion_keys = tuple(p for p in cochar.exception_primes if self._slot(p))
             self._modulus = math.prod(self._slot(p) for p in self._torsion_keys)
@@ -493,7 +491,7 @@ def c_of(g: GroupElement) -> int:
     result = 1
     for p, v in chi.exception_items():
         if v == INF:
-            result *= p ** max(0, _int_vp(g._num, p) - _int_vp(g._den, p))
+            result *= p ** _int_vp(g._num, p)
     return result
 
 

@@ -72,10 +72,12 @@ class TrialConfig:
     """Bounds and seeding for randomized sweeps.
 
     Immutable: assignment raises AttributeError.  ``primes``, every prime up
-    to ``max_prime``, is derived, so it is neither printed nor compared.
+    to ``max_prime``, is derived, so it is neither printed nor compared; nor
+    is ``_memo``, the draw caches of ``_draw_primes`` and ``sample_member``,
+    each an immutable pair replaced in one assignment.
     """
 
-    __slots__ = ("seed", "trials", "max_prime", "max_exp", "samples_per_instance", "primes")
+    __slots__ = ("seed", "trials", "max_prime", "max_exp", "samples_per_instance", "primes", "_memo")
 
     def __init__(
         self, seed: int, trials: int = 100, max_prime: int = 13, max_exp: int = 4, samples_per_instance: int = 20
@@ -93,7 +95,7 @@ class TrialConfig:
         if samples_per_instance > MAX_SAMPLES:
             raise ValueError(f"samples_per_instance must be at most {MAX_SAMPLES}")
         # the primes are sieved once per sweep; every generator draws from them
-        values = (seed, trials, max_prime, max_exp, samples_per_instance, tuple(primes_up_to(max_prime)))
+        values = seed, trials, max_prime, max_exp, samples_per_instance, tuple(primes_up_to(max_prime)), [None, None]
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
@@ -206,8 +208,6 @@ def exact_divide(g: GroupElement, p: int) -> GroupElement | None:
         a = _residue(g, q, modulus)
         if q != p:
             ov[q] = a * mod_inverse(p % modulus, modulus) % modulus
-        elif a == 0:
-            ov[q] = 0
         elif a % p == 0:
             ov[q] = a // p
         else:
@@ -313,22 +313,19 @@ def _draw_primes(G: Qd1Group, cfg: TrialConfig) -> tuple[tuple[int, ...], ...]:
 
     The slots are the sorted primes of cfg.primes and of the cocharacteristic's
     exceptions that carry a torsion coordinate; the other two are read from
-    cfg.primes.  Memoised on G for the last prime list asked for, found by
-    identity: a tuple does not keep its hash, and a group is drawn from under
-    one list throughout, so a repeat call hashes nothing.  Another list
-    recomputes and replaces the memo.
+    cfg.primes.  Memoised in ``cfg._memo[0]`` for the last group, found by
+    identity, so a repeat call hashes nothing.
     """
-    primes = cfg.primes
-    last = G._draw_primes
-    if last is not None and last[0] is primes:
+    last = cfg._memo[0]
+    if last is not None and last[0] is G:
         return last[1]
-    chi = G._cochar
+    primes, chi = cfg.primes, G._cochar
     found = (
         tuple(p for p in sorted(set(primes) | set(chi.exception_primes)) if G._slot(p)),
         tuple(p for p in primes if chi.value(p) == 0),
         tuple(p for p in primes if chi.value(p) == INF),
     )
-    G._draw_primes = primes, found  # holds the list, so no other tuple can be the one tested
+    cfg._memo[0] = G, found  # holds G, so no other group can be the one tested
     return found
 
 
@@ -382,20 +379,16 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
     """A member of the described subgroup, generated from the floor rather than by rejection.
 
     What the draws need besides the rng depends only on d and on the prime
-    list ``cfg.primes``, so it is worked out once and memoised in ``d._plan``
-    with the list it was made for: the torsion plan of the floor and, for
-    ``G(eta)``, the steps of ``_full_member``.  The list is found by identity,
-    as in ``_draw_primes``, so a repeat call hashes nothing; another list
-    recomputes and replaces the memo, and the descriptor draws as a fresh one
-    would.
+    list ``cfg.primes``: the torsion plan of the floor and, for ``G(eta)``,
+    the steps of ``_full_member``.  It is memoised in ``cfg._memo[1]`` for the
+    last descriptor, found by identity as in ``_draw_primes``.
     """
-    primes = cfg.primes
-    last = d._plan
-    if last is not None and last[0] is primes:
+    last = cfg._memo[1]
+    if last is not None and last[0] is d:
         plan = last[1]
     else:
-        plan = _plan(d, primes)
-        d._plan = primes, plan  # holds the list, so no other tuple can be the one tested
+        plan = _plan(d, cfg.primes)
+        cfg._memo[1] = d, plan  # holds d, so no other descriptor can be the one tested
     G, kind = d._group, d._kind
     if kind is DescriptorKind.TORSION:
         return _torsion_member(G, plan, rng)

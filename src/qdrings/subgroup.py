@@ -67,15 +67,9 @@ class DescriptorKind(enum.Enum):
 
 
 class SubgroupDescriptor:
-    """A normalized descriptor; build through full_inv, torsion_inv, or plus_cyclic.
+    """A normalized descriptor; build through full_inv, torsion_inv, or plus_cyclic."""
 
-    The ``_plan`` slot is a memo that equality and printing ignore.  It
-    holds the last ``TrialConfig.primes`` list that ``oracle.sample_member``
-    drew under, with the plan it worked out for that list, or None; the list
-    is found by identity, so no draw hashes it.
-    """
-
-    __slots__ = ("_group", "_kind", "_eta", "_generator", "_plan")
+    __slots__ = ("_group", "_kind", "_eta", "_generator")
 
     def __init__(
         self,
@@ -88,7 +82,6 @@ class SubgroupDescriptor:
         self._kind = kind
         self._eta = eta
         self._generator = generator
-        self._plan: tuple[tuple[int, ...], tuple] | None = None
 
     @property
     def group(self) -> Qd1Group:

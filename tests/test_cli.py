@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qdrings
-from qdrings import cli, errors, foundations, suites
+from qdrings import cli, errors, foundations, oracle, suites
 from qdrings.cli import run
 from qdrings.errors import ParseError
 from qdrings.foundations import INF, MAX_HEIGHT, Characteristic
@@ -26,7 +26,13 @@ from qdrings.oracle import TrialConfig, random_characteristic, random_element, r
 from qdrings.ring import make_mult, multiply, principal_absolute_ideal, principal_ideal, torsion_witness
 from qdrings.subgroup import contains, descriptor_str, equals, full_inv, parse_descriptor, torsion_inv
 
-from mutations import lowered_eta, product_dropping_m
+from mutations import (
+    lowered_eta,
+    product_dropping_m,
+    product_dropping_signs,
+    product_of_squares,
+    product_squaring_the_first,
+)
 
 CHI_A = "default=0;2:2,3:inf"
 
@@ -569,6 +575,75 @@ def test_a_bezout_step_with_a_common_factor_exits_three_with_its_inputs(capsys, 
         "internal error: support primes leaked into the Bezout step "
         "cochar=default=inf;2:1 m=r=3 g=r=5 b=r=15\n"
     )
+
+
+_NAI = ["ring", "witness", "--cochar", "default=0;2:2,3:inf", "--m", "r=0;2:1"]
+
+
+@pytest.mark.parametrize(
+    "target, fault, argv, err",
+    [
+        (
+            "qdrings.ring.zmul",
+            lambda n, g: zmul(n + 1, g),
+            ["ring", "witness", "--cochar", "default=inf;2:3", "--m", "r=1", "--g", "r=0;2:2", "--b", "r=0;2:4"],
+            "torsion witness failed recomputation cochar=default=inf;2:3 g=r=0;2:2 u=r=0;2:4",
+        ),
+        (
+            "qdrings.ring.torsion_witness",
+            lambda g, u: torsion_witness(g, u) + 1,
+            [*_NAI, "--g", "r=2", "--b", "r=0;2:2"],
+            "membership witness failed recomputation cochar=default=0;2:2,3:inf m=r=0;2:1 g=r=2 b=r=0;2:2",
+        ),
+        (
+            "qdrings.ring.equals",
+            lambda a, b: False,
+            _NAI,
+            "witness ideal is not the cyclic group of e0 cochar=default=0;2:2,3:inf m=r=0;2:1 p=2",
+        ),
+        (
+            "qdrings.ring.contains",
+            lambda d, x: False,
+            _NAI,
+            "violator left the absolute ideal of e0 cochar=default=0;2:2,3:inf m=r=0;2:1 p=2",
+        ),
+        (
+            "qdrings.ring.contains",
+            lambda d, x: True,
+            _NAI,
+            "violator is a multiple of e0 cochar=default=0;2:2,3:inf m=r=0;2:1 p=2",
+        ),
+        (
+            "qdrings.oracle.contains",
+            lambda d, x: False,
+            ["verify", "--suite", "lemma2.3", "--seed", "1", "--trials", "1", "--samples", "1"],
+            "member generator left G(eta=default=0;2:4,3:inf,5:1,7:1): r=26880 cochar=default=inf;3:0",
+        ),
+    ],
+    ids=["torsion-witness", "torsion-square", "cyclic-ideal", "violator-outside", "violator-multiple",
+         "sample-member"],
+)
+def test_each_recomputation_guard_exits_three_with_its_inputs(capsys, monkeypatch, target, fault, argv, err):
+    # the computation ahead of each guard is broken so that only the recomputation can see it
+    monkeypatch.setattr(target, fault)
+    assert run_cli(capsys, *argv) == (3, "", f"internal error: {err}\n")
+
+
+@pytest.mark.parametrize(
+    "product, detail",
+    [
+        (product_squaring_the_first, "instance 0: commutativity failed"),
+        (product_of_squares, "instance 0: associativity failed"),
+        (product_dropping_signs, "instance 1: distributivity failed"),
+    ],
+    ids=["commutativity", "associativity", "distributivity"],
+)
+def test_each_broken_ring_law_fails_verify(capsys, monkeypatch, product, detail):
+    monkeypatch.setitem(oracle.ring_axiom_check.__kwdefaults__, "product", product)
+    argv = ["--suite", "ring-axioms", "--seed", "7", "--trials", "3", "--samples", "5"]
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out.startswith("FAIL ring-axioms ") and out.endswith(f" detail={detail}\n")
 
 
 def test_a_failed_recomputation_reports_its_inputs(capsys, monkeypatch):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdrings.errors import InvariantError
 from qdrings.foundations import INF, MAX_EXPONENT, Characteristic, is_prime
 from qdrings.group import (
     _check_denominator,
@@ -103,6 +104,15 @@ def test_exact_divide_constructs_verified_preimages():
     assert half == GB.elem_qb(Fraction(1, 2), 0)
 
 
+def test_a_division_that_fails_recomputation_raises_with_its_inputs(monkeypatch):
+    # no command reaches exact_divide, so the guard is seen through the library call
+    G = build_group(Characteristic.parse("default=inf;2:3"))
+    monkeypatch.setattr("qdrings.oracle.zmul", lambda n, g: zmul(n + 1, g))
+    with pytest.raises(InvariantError) as info:
+        exact_divide(G.parse_elem("r=6"), 3)
+    assert str(info.value) == "division candidate failed recomputation cochar=default=inf;2:3 g=r=6 p=3"
+
+
 def test_height_oracle_examples():
     assert height_oracle(E, 2, 6) == 0
     assert height_oracle(GA.zero(), 7, 6) == 6
@@ -183,8 +193,8 @@ def test_generators_build_what_the_public_constructor_builds(seed, reduced, size
 
 
 def test_descriptor_memos_are_transparent():
-    # sample_member keeps the plan of the last prime list in _plan; a descriptor used under one
-    # list, then another, then the first again, draws as fresh descriptors do
+    # sample_member keeps the plan of the last descriptor in its config; a descriptor used under
+    # one prime list, then another, then the first again, draws as fresh descriptors do
     wide, narrow = TrialConfig(seed=1, max_prime=13), TrialConfig(seed=1, max_prime=7)
     rng = random.Random(41)
     kinds = set()
@@ -207,7 +217,6 @@ def test_descriptor_memos_are_transparent():
             x = random_element(G, used, cfg, torsion=used.random() < 0.5)
             assert contains(d, x) == contains(fresh(), x)
             assert x == random_element(G, unused, cfg, torsion=unused.random() < 0.5)
-        assert d._plan[0] is wide.primes
         assert d == fresh() and str(d) == str(fresh()) and repr(d) == repr(fresh())
     assert kinds == set(DescriptorKind)
 
@@ -278,7 +287,7 @@ def test_draw_primes_is_memoised_for_the_last_prime_list_and_never_hashes_it():
     assert first == ((2, 3), (5,), ())  # slots, zero-value primes, inf-value primes
     assert _draw_primes(G, small) is first  # found by identity
     assert _draw_primes(G, large) == ((2, 3), (5, 11, 13), (7,))
-    assert _draw_primes(G, small) == first  # worked out again after the other list
+    assert _draw_primes(G, small) == first  # each config keeps its own memo
     assert _draw_primes(build_group(G.cochar), small) == first
     assert _CountingHashes.hashes == 0
 
@@ -290,14 +299,14 @@ def test_sample_member_keeps_the_plan_of_the_last_prime_list_and_never_hashes_it
     before = _CountingHashes.hashes
     d = full_inv(G, Characteristic(0, {2: 1}))
     sample_member(d, random.Random(0), small)
-    first = d._plan
-    assert first[0] is small.primes and first[1] == _plan(d, small.primes)
+    first = small._memo[1]
+    assert first[0] is d and first[1] == _plan(d, small.primes)
     sample_member(d, random.Random(1), small)
-    assert d._plan is first  # found by identity, not worked out again
+    assert small._memo[1] is first  # found by identity, not worked out again
     sample_member(d, random.Random(2), large)
-    assert d._plan[0] is large.primes and d._plan[1] == _plan(d, large.primes)
+    assert large._memo[1][0] is d and large._memo[1][1] == _plan(d, large.primes)
     sample_member(d, random.Random(3), small)
-    assert d._plan[0] is small.primes and d._plan[1] == first[1]
+    assert small._memo[1] is first  # each config keeps its own memo
     assert _CountingHashes.hashes == before
 
 
