@@ -58,7 +58,6 @@ def main() -> int:
     import pytest
 
     os.chdir(ROOT)  # where tier-1 runs, so the files print relative to the repository
-    sys.path.insert(0, str(PACKAGE.parent))
     ran: set[tuple[str, int]] = set()
     sys.settrace(tracer(str(PACKAGE), ran))
     try:
