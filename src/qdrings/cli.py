@@ -7,12 +7,14 @@ documented cap, and integers Brent's method cannot split within its step budget,
 3 for an internal error: an answer that failed its own recomputation check.
 
 `run` builds the subparsers and arguments of one command only: the first argument
-that does not start with "-", which is the one argparse dispatches to.
+that does not start with "-", which is the one argparse dispatches to. It keeps the
+parser of the last command it built, so a repeated command builds no new parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .errors import InvariantError, ParseError, RingIsAIError
@@ -51,8 +53,12 @@ def _ascii_int(text: str) -> int:
     return n
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser; a named command alone gets its subparsers and arguments, None builds all."""
+    """The parser; a named command alone gets its subparsers and arguments, None builds all.
+
+    The parser of the last command is kept and shared: a parse does not change it.
+    """
     parser = argparse.ArgumentParser(
         prog="qdrings",
         description="Exact calculator for rank-1 quotient divisible groups and the rings on them.",

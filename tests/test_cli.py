@@ -1,5 +1,6 @@
 """Tests for the command-line front end: outputs, exit codes, grammar round trips."""
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -731,6 +732,88 @@ def test_the_parser_of_one_command_prints_what_the_whole_parser_prints(capsys, m
     assert cli.run(["--foo", "ai", "-h"]) == 0 and built == ["ai"]
     args, extra = build("ai").parse_known_args(["ring", "mul"])
     assert (args.command, extra) == ("ring", ["mul"])  # the other commands are left empty
+
+
+# one argv per command and subcommand that parses
+_PARSING_ARGVS = [
+    ["group", "describe", "--cochar", CHI_A],
+    ["elem", "info", "--cochar", CHI_A, "--elem", "r=1"],
+    *(["ring", s, *_NEEDED[s]] for s in _SUBCOMMANDS["ring"]),
+    ["ai", "ideal", "--cochar", CHI_A, "--g", "r=1"],
+    ["verify", *_NEEDED["verify"]],
+]
+
+
+def _replay_parses(capsys, monkeypatch):
+    """Make a parse that succeeds print its namespace instead of running; return a runner of argvs."""
+    for key in cli._HANDLERS:
+        monkeypatch.setitem(cli._HANDLERS, key, lambda args: print(sorted(vars(args).items())) or 0)
+
+    def replay(argv):
+        code = cli.run(list(argv))
+        return code, *capsys.readouterr()
+
+    return replay
+
+
+def test_a_kept_parser_prints_what_a_fresh_build_prints(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    replay = _replay_parses(capsys, monkeypatch)
+    memo = cli._build_parser
+    for argv in [*_usage_argvs(), *_PARSING_ARGVS]:
+        memo.cache_clear()
+        fresh = replay(argv)
+        assert replay(argv) == fresh, argv
+        assert memo.cache_info()[:2] == (1, 1), argv  # one build, then one hit
+        assert fresh[0] == 0 or argv not in _PARSING_ARGVS, argv
+
+    # the width is read when help is printed, not when the parser is built
+    memo.cache_clear()
+    wide = replay(["verify", "-h"])
+    monkeypatch.setenv("COLUMNS", "50")
+    hit = replay(["verify", "-h"])
+    assert memo.cache_info()[:2] == (1, 1)
+    memo.cache_clear()
+    assert hit == replay(["verify", "-h"]) != wide
+
+    parser = memo("verify")
+    assert memo("verify") is parser
+    other = memo("ring")
+    assert other is not parser and memo("ring") is other
+    assert memo.cache_info().currsize == 1
+    assert memo("verify") is not parser  # the ring parser took its place
+
+
+def _parser_snapshot(parser):
+    """The repr of the fields of the parser, of each of its actions and of each subparser below it."""
+    parts = [repr(vars(parser))]
+    for action in parser._actions:
+        parts.append(repr(vars(action)))
+        if isinstance(action, argparse._SubParsersAction):
+            parts += [_parser_snapshot(sub) for sub in action.choices.values()]
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize(
+    "command, runs",
+    [
+        ("verify", [(["verify", *_NEEDED["verify"]], 0), (["verify", "--suite", "ring-axioms", "--seed", "x"], 2),
+                    (["verify", "-h"], 0), (["verify", "nope"], 2), (["verify", "--suite", "nope", "--seed", "1"], 2),
+                    (["--foo", "verify", *_NEEDED["verify"]], 2)]),
+        ("ring", [(["ring", "mul", *_NEEDED["mul"]], 0), (["ring", "mul", "--cochar", CHI_A], 2),
+                  (["ring", "mul", "-h"], 0), (["ring", "-h"], 0), (["ring", "nope"], 2),
+                  (["--foo", "ring", "mul", *_NEEDED["mul"]], 2)]),
+    ],
+)
+def test_a_parse_leaves_the_kept_parser_unchanged(capsys, monkeypatch, command, runs):
+    replay = _replay_parses(capsys, monkeypatch)
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser(command)
+    before = _parser_snapshot(parser)
+    for argv, code in runs:
+        assert replay(argv)[0] == code, argv
+        assert _parser_snapshot(parser) == before, argv
+    assert cli._build_parser.cache_info()[:2] == (len(runs), 1)  # every run parsed with this parser
 
 
 @pytest.mark.parametrize(
