@@ -59,7 +59,6 @@ from .ring import (
     certify_member,
     is_ai_ring,
     is_fi_ring,
-    is_nai,
     make_mult,
     multiply,
     non_absolute_ideal_witness,

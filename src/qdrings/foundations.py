@@ -12,7 +12,7 @@ value is an `int`, and `Characteristic` admits nothing else.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,7 +32,6 @@ __all__ = [
     "is_idempotent_type",
     "is_prime",
     "is_zero_type",
-    "iter_primes",
     "meet",
     "mod_inverse",
     "primes_up_to",
@@ -144,16 +143,6 @@ def primes_up_to(bound: int) -> list[int]:
     return [p for p in range(2, bound + 1) if sieve[p]]
 
 
-def iter_primes() -> Iterator[int]:
-    """Unbounded ascending prime generator."""
-    yield 2
-    n = 3
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
-
-
 def vp(x, p: int) -> int:
     """p-adic valuation of a nonzero rational: x = p**v * (u/w) with p dividing neither u nor w."""
     if not is_prime(p):
@@ -210,7 +199,7 @@ def crt(congruences) -> tuple[int, int]:
     for a, n in congruences:
         if n < 1:
             raise ValueError(f"modulus must be positive, got {n}")
-        t = (a - r) * mod_inverse(m % n if n > 1 else 0, n) % n
+        t = (a - r) * mod_inverse(m % n, n) % n
         r = r + m * t
         m = m * n
     return r % m, m

@@ -12,7 +12,8 @@ arithmetic core combines plain ints, and one core serves both kinds.  Only
 ``Qd1Group._slot(p)`` decides whether a prime carries a torsion coordinate: it
 is the memoised modulus p**cochar(p) when that value is finite and positive,
 and 0, meaning no finite torsion coordinate, when it is 0 or inf.  A
-nonreduced group fills the memo when it is built.  Only ``_implied(num, den,
+nonreduced group fills the memo when it is built, and a group takes over the
+memo of an equal group object at ``_same_group``.  Only ``_implied(num, den,
 q)`` states which coordinate mod q the coefficient num/den implies; ``add``,
 ``_build``, the ring product and the normal form of a descriptor all read it
 there.
@@ -338,10 +339,17 @@ def _check_denominator(g: GroupElement) -> GroupElement:
 
 
 def _same_group(G: Qd1Group, *values) -> None:
-    """Raise unless every value (element, descriptor, multiplication) lives in G."""
+    """Raise unless every value (element, descriptor, multiplication) lives in G.
+
+    A value from an equal group object passes only here, and G takes over that
+    object's slot memo, so G's memo holds every override key of the value.  An
+    entry is the same p**k either way, and ``dict.update`` runs in C uninterrupted.
+    """
     for v in values:
-        if v._group is not G and v._group != G:
-            raise GroupMismatchError("arguments belong to different groups")
+        if v._group is not G:
+            if v._group != G:
+                raise GroupMismatchError("arguments belong to different groups")
+            G._slots.update(v._group._slots)
 
 
 def _coordinate_slot(G: Qd1Group, p: int) -> int:
@@ -372,8 +380,7 @@ def add(g: GroupElement, h: GroupElement) -> GroupElement:
     slots = G._slots
     ov = {}
     for p in {*go, *ho}:
-        # h may come from an equal group object whose memo G has not filled
-        q = slots.get(p) or G._slot(p)
+        q = slots[p]
         a = go[p] if p in go else _implied(gn, gd, q)
         b = ho[p] if p in ho else _implied(hn, hd, q)
         ov[p] = (a + b) % q

@@ -14,13 +14,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from itertools import count
 
 from .errors import InvariantError, NotAMemberError, RingIsAIError, UnsupportedCaseError
 from .foundations import (
     INF,
     Characteristic,
     bezout,
-    iter_primes,
+    is_prime,
 )
 from .group import (
     GroupElement,
@@ -55,7 +56,6 @@ __all__ = [
     "certify_member",
     "is_ai_ring",
     "is_fi_ring",
-    "is_nai",
     "make_mult",
     "multiply",
     "non_absolute_ideal_witness",
@@ -137,11 +137,6 @@ def make_mult(G: Qd1Group, m: GroupElement) -> Multiplication:
     return Multiplication(G, m)
 
 
-def is_nai(mult: Multiplication) -> bool:
-    """Whether the defining element is torsion; the torsion part of the multiplication group."""
-    return is_torsion(mult.m_elt)
-
-
 def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupElement:
     """The ring product: coordinatewise, weighted by the square of the basis element."""
     G = mult._group
@@ -154,8 +149,7 @@ def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupE
     slots = G._slots
     ov = {}
     for p in {*o1, *o2, *om}:
-        # the operands may come from an equal group object whose memo G has not filled
-        q = slots.get(p) or G._slot(p)
+        q = slots[p]
         a = o1[p] if p in o1 else _implied(n1, d1, q)
         b = o2[p] if p in o2 else _implied(n2, d2, q)
         c = om[p] if p in om else _implied(nm, dm, q)
@@ -353,7 +347,7 @@ def _smallest_finite_cochar_prime(G: Qd1Group) -> int:
     chi = G.cochar
     if chi.default == INF:
         return min(p for p, v in chi.exception_items() if v != INF)
-    return next(p for p in iter_primes() if chi.value(p) != INF)
+    return next(p for p in count(2) if chi.value(p) != INF and is_prime(p))
 
 
 def non_absolute_ideal_witness(mult: Multiplication) -> NonAbsoluteWitness:

@@ -373,7 +373,7 @@ SUITE_MUTANTS = {
     ),
     "mult-iso-doubled-m": ("mult-iso", "make_mult", lambda G, m: make_mult(G, add(m, m)), {"mult-iso-round-trip"}),
     "mult-iso-dropping-m": ("mult-iso", "multiply", product_dropping_m, {"mult-iso-additivity"}),
-    "mult-iso-always-nai": ("mult-iso", "is_nai", lambda mult: True, {"mult-iso-nai-subgroup"}),
+    "mult-iso-always-ai": ("mult-iso", "is_ai_ring", lambda mult: True, {"mult-iso-nai-subgroup"}),
 }
 
 

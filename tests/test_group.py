@@ -42,8 +42,8 @@ from qdrings.group import (
     zmul,
 )
 from qdrings.oracle import TrialConfig, height_oracle, heights_agree, random_element, random_group
-from qdrings.ring import make_mult, multiply, principal_absolute_ideal
-from qdrings.subgroup import equals, torsion_inv
+from qdrings.ring import make_mult, multiply, principal_absolute_ideal, torsion_witness
+from qdrings.subgroup import contains, equals, full_inv, plus_cyclic, torsion_inv
 
 CHI_A = Characteristic(0, {2: 2, 3: INF})
 CHI_B = Characteristic(0, {2: 1})
@@ -330,6 +330,35 @@ def test_arithmetic_on_equal_group_objects_reads_slots_the_first_has_not_seen():
         G1, G2, x, y = twins()
         assert 3 not in G1._slots and 2 not in G2._slots
         assert str(op(G1, G2, x, y)) == expected
+
+    # the first group to meet a value from its twin takes over the twin's whole slot memo
+    G1, G2, x, y = twins()
+    G2.elem(0, {7: 1})
+    add(x, y)
+    assert 7 in G2._slots and G2._slots.items() <= G1._slots.items()
+
+    # a ring square from the twin, at a prime G1 has never used, on G1 elements
+    G1, G2, x, _ = twins()
+    y = G1.elem(1, {3: 5})
+    mult = make_mult(G1, G2.elem(3, {5: 7}))
+    G = Qd1Group(Characteristic(2))
+    one = multiply(make_mult(G, G.elem(3, {5: 7})), G.elem(1, {2: 3}), G.elem(1, {3: 5}))
+    assert multiply(mult, x, y) == one and str(one) == "r=3;2:1,3:6,5:7"
+
+    # membership, torsion witnesses and descriptor equality answer across twins as in one group
+    def answers(Ga, Gb):
+        g, u = Ga.elem(0, {2: 1, 3: 1}), Gb.elem(0, {3: 6})
+        return (
+            [contains(d, x) for d in (torsion_inv(Ga, Characteristic(1)), full_inv(Ga, Characteristic(0)))
+             for x in (Gb.elem(0, {3: 3}), Gb.elem(0, {7: 1}), Gb.elem(Fraction(1, 5), {5: 2}))],
+            torsion_witness(g, u),
+            equals(plus_cyclic(torsion_inv(Ga, Characteristic(1)), Ga.elem(1, {11: 4})),
+                   plus_cyclic(torsion_inv(Gb, Characteristic(1)), Gb.elem(1, {11: 4}))),
+            equals(torsion_inv(Ga, Characteristic(1)), torsion_inv(Gb, Characteristic(0))),
+        )
+
+    single = Qd1Group(Characteristic(2))
+    assert answers(*twins()[:2]) == answers(single, single)
 
 
 def test_build_keeps_an_override_exactly_where_the_coefficient_does_not_imply_it():
