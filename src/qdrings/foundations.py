@@ -432,6 +432,14 @@ class Characteristic:
         return _scan_characteristic(text, 0, len(text), bound)
 
 
+def _char(default: ExtNat, exc: Mapping[int, ExtNat]) -> Characteristic:
+    """The unchecked constructor, like ``group._build``: for prime keys and no value equal to the default."""
+    c = object.__new__(Characteristic)
+    c._default = default
+    c._exceptions = dict(sorted(exc.items()))
+    return c
+
+
 def equivalent(c1: Characteristic, c2: Characteristic) -> bool:
     """Whether the disagreement set is finite with both values finite at every disagreement."""
     if c1.default != c2.default:
@@ -457,7 +465,8 @@ def _pointwise(a: Characteristic, b: Characteristic, rule) -> Characteristic:
     """rule(a(p), b(p)) at every prime: at the two defaults and at every exception prime of either."""
     ae, ad = a._exceptions, a._default
     be, bd = b._exceptions, b._default
-    return Characteristic(rule(ad, bd), {p: rule(ae.get(p, ad), be.get(p, bd)) for p in ae.keys() | be.keys()})
+    d = rule(ad, bd)
+    return _char(d, {p: v for p in ae.keys() | be.keys() if (v := rule(ae.get(p, ad), be.get(p, bd))) != d})
 
 
 def char_geq(a: Characteristic, b: Characteristic) -> bool:

@@ -47,6 +47,7 @@ from .foundations import (
     _TRIAL_PRIMES,
     Characteristic,
     ExtNat,
+    _char,
     _expect,
     _int_vp,
     _items_str,
@@ -456,8 +457,8 @@ def char_of(g: GroupElement) -> Characteristic:
     if primes is None:
         default_h = 0
         primes = {*g._group._cochar.exception_primes, *g._overrides, *factorization(g._num)}
-    # every candidate is prime, so the heights skip the primality test
-    return Characteristic(default_h, {p: h for p in primes if (h := _height(g, p)) != default_h})
+    # every candidate is prime, so neither the heights nor the characteristic test primality
+    return _char(default_h, {p: h for p in primes if (h := _height(g, p)) != default_h})
 
 
 def is_torsion(g: GroupElement) -> bool:

@@ -41,6 +41,7 @@ from .group import (
     zmul,
 )
 from .subgroup import (
+    DescriptorKind,
     SubgroupDescriptor,
     contains,
     equals,
@@ -178,8 +179,7 @@ def principal_ideal(mult: Multiplication, g: GroupElement) -> SubgroupDescriptor
     _same_group(G, g)
     if g._num == 0 or mult._m._num != 0:
         return principal_absolute_ideal(g)
-    g_times_e = multiply(mult, g, G.basis_element())
-    return plus_cyclic(torsion_inv(G, char_of(g_times_e)), g)
+    return plus_cyclic(principal_absolute_ideal(multiply(mult, g, G.basis_element())), g)
 
 
 def principal_absolute_ideal(g: GroupElement) -> SubgroupDescriptor:
@@ -188,8 +188,11 @@ def principal_absolute_ideal(g: GroupElement) -> SubgroupDescriptor:
     It depends on g alone, so it is built once per element and memoised in g's ``_pai`` slot.
     """
     if g._pai is None:
-        build = torsion_inv if g._num == 0 else full_inv
-        g._pai = build(g._group, char_of(g))
+        # G(char g) or T(char g), already normal: heights lie in {0, ..., k-1, inf} at a slot of value k
+        # and are inf at value 0, so neither capping rule moves them; a non-torsion floor cannot collapse,
+        # being 0 by default wherever the cocharacteristic is not, and finite at every divisible prime.
+        kind = DescriptorKind.FULL if g._num else DescriptorKind.TORSION
+        g._pai = SubgroupDescriptor(g._group, kind, char_of(g))
     return g._pai
 
 

@@ -67,7 +67,7 @@ class DescriptorKind(enum.Enum):
 
 
 class SubgroupDescriptor:
-    """A normalized descriptor; build through full_inv, torsion_inv, or plus_cyclic."""
+    """A normalized descriptor, built by full_inv, torsion_inv, plus_cyclic or ring.principal_absolute_ideal."""
 
     __slots__ = ("_group", "_kind", "_eta", "_generator")
 
@@ -136,7 +136,7 @@ def _normalize_full_eta(G: Qd1Group, eta: Characteristic) -> tuple[Characteristi
     # nonzero cocharacteristic, and finite height at every divisible prime.
     collapsed = (chi.default != 0 and norm.default >= 1) or any(
         chi.value(p) == INF and norm.value(p) == INF
-        for p in set(chi.exception_primes) | set(norm.exception_primes)
+        for p in chi._exceptions.keys() | norm._exceptions.keys()
     )
     return norm, collapsed
 

@@ -30,6 +30,9 @@ from qdrings.foundations import (
     primes_up_to,
     vp,
 )
+from qdrings.group import build_group, char_of
+from qdrings.oracle import TrialConfig, random_characteristic, random_element, random_group
+from qdrings.subgroup import full_inv, torsion_inv
 
 PRIMES = (2, 3, 5, 7, 11, 13)
 P22, Q22 = 10**21 + 117, 10**21 + 193  # 22-digit primes
@@ -478,6 +481,44 @@ def test_char_geq_is_a_partial_order(a, b, c):
     if char_geq(a, b) and char_geq(b, c):
         assert char_geq(a, c)
     assert char_geq(a, Characteristic(0))
+
+
+def _assert_canonical(c):
+    """Prime keys in ascending order and no value equal to the default: what the validating constructor builds."""
+    keys = list(c._exceptions)
+    assert keys == sorted(keys) and all(is_prime(p) for p in keys)
+    assert all(v != c.default for v in c._exceptions.values())
+    rebuilt = Characteristic(c.default, c._exceptions)
+    assert rebuilt == c and str(rebuilt) == str(c)
+
+
+# primes above 13 too, so that a set of exception keys can iterate out of numeric order
+wide_characteristics = st.builds(
+    Characteristic,
+    st.one_of(st.just(0), st.integers(1, 4), st.just(INF)),
+    st.dictionaries(st.sampled_from((*PRIMES, 17, 19, 23, 29, 31)), ext_values, max_size=8),
+)
+
+
+@given(wide_characteristics, wide_characteristics)
+def test_meet_builds_a_canonical_characteristic(a, b):
+    _assert_canonical(meet(a, b))
+
+
+def test_derived_characteristics_are_canonical():
+    # keys out of order, and a value the meet takes equal to its default
+    _assert_canonical(meet(Characteristic(0, {17: 1}), Characteristic(0, {3: 1})))
+    _assert_canonical(meet(Characteristic(2, {3: 1}), Characteristic(1, {3: 4})))
+    G = build_group(Characteristic(0, {2: 3, 5: 2, 17: INF}))
+    _assert_canonical(char_of(G.elem(0, {5: 1, 2: 1})))
+    cfg = TrialConfig(seed=3232, max_prime=37)
+    rng = random.Random(cfg.seed)
+    for _ in range(150):
+        G = random_group(rng, cfg)
+        c = char_of(random_element(G, rng, cfg, torsion=rng.random() < 0.4))
+        eta = random_characteristic(rng, cfg)
+        for derived in (c, meet(c, eta), full_inv(G, eta).eta, torsion_inv(G, eta).eta):
+            _assert_canonical(derived)
 
 
 @given(characteristics, characteristics, characteristics)

@@ -199,6 +199,36 @@ def test_principal_absolute_ideal_is_memoised_per_element(reduced):
         assert equals(principal_absolute_ideal(parsed), pai)
 
 
+# every group kind, by the default of its cocharacteristic: a nonreduced group has default 0
+@pytest.mark.parametrize("reduced, default", [(False, 0), (True, 0), (True, 3), (True, INF)])
+def test_principal_absolute_ideal_is_its_generators_heights_with_nothing_to_normalize(reduced, default):
+    # principal_absolute_ideal takes char_of(g) as the floor; full_inv and torsion_inv must find
+    # nothing to cap in it, and a non-torsion g must give a floor that does not collapse to torsion
+    rng = random.Random(3030)
+    for _ in range(60):
+        G = random_group(rng, CFG, reduced=reduced, force_default=default)
+        assert G.cochar.default == default and G.is_reduced is reduced
+        for torsion, kind in ((False, DescriptorKind.FULL), (True, DescriptorKind.TORSION)):
+            g = random_element(G, rng, CFG, torsion=torsion)
+            pai = principal_absolute_ideal(g)
+            normalized = (torsion_inv if torsion else full_inv)(G, char_of(g))
+            assert pai.kind is normalized.kind is kind
+            assert pai.eta == normalized.eta and pai.generator is None
+
+
+def test_principal_ideal_of_a_torsion_square_is_the_absolute_ideal_of_g_times_e_plus_g():
+    rng = random.Random(3131)
+    for _ in range(60):
+        G = random_group(rng, CFG, with_torsion=True)
+        mult = make_mult(G, random_element(G, rng, CFG, torsion=True))
+        g = random_element(G, rng, CFG)
+        if is_torsion(g):
+            continue
+        d = principal_ideal(mult, g)
+        assert d.kind is DescriptorKind.SUM
+        assert str(d) == str(plus_cyclic(torsion_inv(G, char_of(multiply(mult, g, G.basis_element()))), g))
+
+
 # -- membership witnesses --------------------------------------------------------
 
 def test_solve_in_principal_trivial_and_derived_examples():
