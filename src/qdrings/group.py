@@ -22,11 +22,12 @@ Denominators are validated where outside input comes in, in ``Qd1Group.elem``
 and ``Qd1Group.elem_qb`` (``parse_elem`` goes through them), and in the seeded
 generators of ``oracle``, which build from ints with ``_build`` and call
 ``_check_denominator`` on every result that is not torsion.  A result of
-``add``, ``zmul`` or ``multiply`` needs no check: its reduced denominator has
-only primes of its operands' denominators, each such prime with a nonzero
-cocharacteristic value carries an override in some valid operand and so
-gets a coordinate in the result, and ``_build`` never drops an override at a
-prime that divides the denominator.
+``add``, ``zmul``, ``multiply`` or the two fused kernels ``_plus_multiple``
+(x + k*g) and ``ring._ideal_element`` (g x y + k*g) needs no check: its
+reduced denominator has only primes of its operands' denominators, each such
+prime with a nonzero cocharacteristic value carries an override in some valid
+operand and so gets a coordinate in the result, and ``_build`` never drops an
+override at a prime that divides the denominator.
 """
 
 from __future__ import annotations
@@ -234,7 +235,7 @@ class GroupElement:
         return add(self, other)
 
     def __sub__(self, other: "GroupElement") -> "GroupElement":
-        return add(self, neg(other))
+        return _plus_multiple(self, -1, other)
 
     def __neg__(self) -> "GroupElement":
         return neg(self)
@@ -401,6 +402,23 @@ def zmul(n: int, g: GroupElement) -> GroupElement:
     for p, a in g._overrides.items():
         ov[p] = n * a % slots[p]
     return _build(G, n * g._num, g._den, ov)
+
+
+def _plus_multiple(x: GroupElement, k: int, g: GroupElement) -> GroupElement:
+    """x + k*g with one ``_build``: the value of ``add(x, zmul(k, g))`` for an int k."""
+    G = x._group
+    if g._group is not G:
+        _same_group(G, g)
+    xn, xd, xo = x._num, x._den, x._overrides
+    gn, gd, go = g._num, g._den, g._overrides
+    slots = G._slots
+    ov = {}
+    for p in {*xo, *go}:
+        q = slots[p]
+        a = xo[p] if p in xo else _implied(xn, xd, q)
+        b = go[p] if p in go else _implied(gn, gd, q)
+        ov[p] = (a + k * b) % q
+    return _build(G, xn * gd + k * gn * xd, xd * gd, ov)
 
 
 # ---------------------------------------------------------------------------

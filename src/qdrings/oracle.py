@@ -27,13 +27,14 @@ from .group import (
     Qd1Group,
     _build,
     _check_denominator,
+    _plus_multiple,
     _residue,
     add,
     build_group,
     canonical_elem_str,
     zmul,
 )
-from .ring import Multiplication, certify_member, make_mult, multiply
+from .ring import Multiplication, _ideal_element, certify_member, make_mult, multiply
 from .subgroup import (
     DescriptorKind,
     SubgroupDescriptor,
@@ -395,7 +396,7 @@ def sample_member(d: SubgroupDescriptor, rng: random.Random, cfg: TrialConfig) -
     if kind is DescriptorKind.SUM:
         k = -6 + _below(rng.getrandbits, 13)
         t = _torsion_member(G, plan, rng)
-        x = add(zmul(k, d._generator), t)
+        x = _plus_multiple(t, k, d._generator)
     else:
         x = _full_member(G, plan, rng)
     if not contains(d, x):
@@ -499,9 +500,10 @@ def ideal_two_way_check(
 ) -> CheckReport:
     """Sample both inclusions between the ideal of g and the descriptor d.
 
-    Products of g land in d; members of d come back with a witness whose
-    defining identity is recomputed here, independently of how the witness
-    was produced.
+    Products g x x + k*g land in d; members b of d, drawn by ``sample_member``
+    independently of the certifier, come back with a witness whose defining
+    identity b = g x y + k*g is recomputed here through ``ring._ideal_element``,
+    the one-build kernel, however the witness was produced.
     """
     G = mult._group
     rng = cfg.rng("ideal", _input_digest(G._cochar, mult._m, g))
@@ -510,7 +512,7 @@ def ideal_two_way_check(
     for i in range(cfg.samples_per_instance):
         x = random_element(G, rng, cfg, torsion=rng.random() < 0.3)
         k = -8 + _below(gb, 17)
-        b = add(multiply(mult, g, x), zmul(k, g))
+        b = _ideal_element(mult, g, x, k)
         report.trials += 1
         if not contains(d, b):
             report.record(i, f"product g*{canonical_elem_str(x)}+{k}g left the descriptor")
@@ -524,7 +526,7 @@ def ideal_two_way_check(
                 f"member {canonical_elem_str(b)} of {descriptor_str(d)} has no certificate",
             )
             continue
-        if add(multiply(mult, g, w.y), zmul(w.k, g)) != b:
+        if _ideal_element(mult, g, w.y, w.k) != b:
             report.record(
                 cfg.samples_per_instance + i,
                 f"witness {w} does not recompute to {canonical_elem_str(b)}",

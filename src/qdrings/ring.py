@@ -30,10 +30,10 @@ from .group import (
     _check_denominator,
     _free_part,
     _implied,
+    _plus_multiple,
     _quotient,
     _same_group,
     _tail,
-    add,
     char_of,
     is_integers,
     is_torsion,
@@ -156,6 +156,31 @@ def multiply(mult: Multiplication, g1: GroupElement, g2: GroupElement) -> GroupE
         c = om[p] if p in om else _implied(nm, dm, q)
         ov[p] = a * b * c % q
     return _build(G, n1 * n2 * nm, d1 * d2 * dm, ov)
+
+
+def _ideal_element(mult: Multiplication, g: GroupElement, y: GroupElement, k: int) -> GroupElement:
+    """g x y + k*g with one ``_build``: the value of ``add(multiply(mult, g, y), zmul(k, g))`` for an int k.
+
+    Coordinatewise it is a*(b*c + k) modulo each slot, with a, b and c the
+    coordinates of g, y and the basis square; the coefficient is
+    ng*(ny*nm + k*dy*dm) / (dg*dy*dm).
+    """
+    G = mult._group
+    if g._group is not G or y._group is not G:
+        _same_group(G, g, y)
+    m = mult._m
+    ng, dg, og = g._num, g._den, g._overrides
+    ny, dy, oy = y._num, y._den, y._overrides
+    nm, dm, om = m._num, m._den, m._overrides
+    slots = G._slots
+    ov = {}
+    for p in {*og, *oy, *om}:
+        q = slots[p]
+        a = og[p] if p in og else _implied(ng, dg, q)
+        b = oy[p] if p in oy else _implied(ny, dy, q)
+        c = om[p] if p in om else _implied(nm, dm, q)
+        ov[p] = a * (b * c + k) % q
+    return _build(G, ng * (ny * nm + k * dy * dm), dg * dy * dm, ov)
 
 
 def is_ai_ring(mult: Multiplication) -> bool:
@@ -295,7 +320,7 @@ def solve_in_principal(mult: Multiplication, g: GroupElement, b: GroupElement) -
     # every support prime is a slot prime, so the zero coordinates need no check
     y_elt = _check_denominator(_build(G, zn, zd, {p: 0 for p in support}))
     k = n * y * rd + w
-    if add(multiply(mult, g, y_elt), zmul(k, g)) != b:
+    if _ideal_element(mult, g, y_elt, k) != b:
         raise InvariantError("principal witness failed recomputation", cochar=G._cochar, m=m, g=g, b=b)
     return PrincipalWitness(y_elt, k)
 
@@ -322,7 +347,7 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
     # all products are torsion: members are k*g plus a multiple of g x e, and only
     # k = _quotient(b, g) can leave a torsion t; the tests below reject any other t
     k = _quotient(b, g)
-    t = add(b, zmul(-k, g))
+    t = _plus_multiple(b, -k, g)
     memo = mult._memo
     if memo is not None and memo[0] is g:
         _, e, zero, g_times_e = memo
@@ -340,7 +365,7 @@ def certify_member(mult: Multiplication, g: GroupElement, b: GroupElement) -> Pr
         except NotAMemberError:
             return None
         y = zmul(n, e)
-    if add(multiply(mult, g, y), zmul(k, g)) != b:
+    if _ideal_element(mult, g, y, k) != b:
         raise InvariantError("membership witness failed recomputation", cochar=G._cochar, m=mult._m, g=g, b=b)
     return PrincipalWitness(y, k)
 

@@ -35,16 +35,15 @@ from .group import (
     _finite_height_primes,
     _height,
     _implied,
+    _plus_multiple,
     _quotient,
     _residue,
     _same_group,
     _scan_element,
-    add,
     canonical_elem_str,
     char_of,
     is_integers,
     neg,
-    zmul,
 )
 
 __all__ = [
@@ -225,7 +224,7 @@ def contains(d: SubgroupDescriptor, x: GroupElement) -> bool:
     if kind is DescriptorKind.SUM and x._num != 0:
         # g is non-torsion: x - k*g is torsion only for k = x.rational / g.rational
         g = d._generator
-        x = add(x, zmul(-_quotient(x, g), g))
+        x = _plus_multiple(x, -_quotient(x, g), g)
     return x._num == 0 and _dominates(x, d)
 
 

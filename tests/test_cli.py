@@ -24,7 +24,14 @@ from qdrings.errors import ParseError
 from qdrings.foundations import INF, MAX_HEIGHT, Characteristic
 from qdrings.group import Qd1Group, add, build_group, char_of, zmul
 from qdrings.oracle import TrialConfig, random_characteristic, random_element, ring_axiom_check
-from qdrings.ring import make_mult, multiply, principal_absolute_ideal, principal_ideal, torsion_witness
+from qdrings.ring import (
+    _ideal_element,
+    make_mult,
+    multiply,
+    principal_absolute_ideal,
+    principal_ideal,
+    torsion_witness,
+)
 from qdrings.subgroup import contains, descriptor_str, equals, full_inv, parse_descriptor, torsion_inv
 
 from mutations import (
@@ -648,8 +655,8 @@ def test_each_broken_ring_law_fails_verify(capsys, monkeypatch, product, detail)
 
 
 def test_a_failed_recomputation_reports_its_inputs(capsys, monkeypatch):
-    # a ring-side zmul that is off by one breaks the check at the end of solve_in_principal
-    monkeypatch.setattr("qdrings.ring.zmul", lambda n, g: zmul(n + 1, g))
+    # a ring-side g x y + k*g that is off by one g breaks the check at the end of solve_in_principal
+    monkeypatch.setattr("qdrings.ring._ideal_element", lambda mult, g, y, k: _ideal_element(mult, g, y, k + 1))
     argv = ["--cochar", "default=inf;2:1", "--m", "r=3", "--g", "r=5", "--b", "r=15"]
     code, out, err = run_cli(capsys, "ring", "witness", *argv)
     assert (code, out) == (3, "")

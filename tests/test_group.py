@@ -29,8 +29,10 @@ from qdrings.group import (
     _check_denominator,
     _free_part,
     _implied,
+    _plus_multiple,
     _quotient,
     c_of,
+    canonical_elem_str,
     char_of,
     coordinate_residue,
     decompose,
@@ -359,6 +361,49 @@ def test_arithmetic_on_equal_group_objects_reads_slots_the_first_has_not_seen():
 
     single = Qd1Group(Characteristic(2))
     assert answers(*twins()[:2]) == answers(single, single)
+
+
+# every group kind, by the default of its cocharacteristic: a nonreduced group has default 0
+@pytest.mark.parametrize("reduced, default", [(False, 0), (True, 0), (True, 3), (True, INF)])
+def test_plus_multiple_is_the_sum_with_a_multiple(reduced, default):
+    # the one-build kernel against the two-build composition it replaces, as elements and as text
+    rng = random.Random(3131)
+    seen = set()
+    for _ in range(40):
+        G = random_group(rng, CFG, reduced=reduced, force_default=default)
+        x, g = (random_element(G, rng, CFG, torsion=rng.random() < 0.3) for _ in range(2))
+        for k in range(-8, 9):
+            fused = _plus_multiple(x, k, g)
+            composed = add(x, zmul(k, g))
+            assert fused == composed
+            assert canonical_elem_str(fused) == canonical_elem_str(composed)
+        for name, v in (("x", x), ("g", g)):
+            seen.add(f"{name} {'torsion' if is_torsion(v) else 'free'}")
+            if any(v._den % p == 0 and G._slot(p) for p in CFG.primes):  # the draws use no other prime
+                seen.add(f"{name} slot denominator")
+    assert seen == {"x torsion", "x free", "g torsion", "g free", "x slot denominator", "g slot denominator"}
+
+
+def test_plus_multiple_takes_equal_group_objects_and_refuses_foreign_ones():
+    # x fills only the slot memo of G1 at 2, g that of G2 at 3 and 7
+    chi = Characteristic(2)
+    G1, G2 = Qd1Group(chi), Qd1Group(chi)
+    x, g = G1.elem(Fraction(1, 2), {2: 3}), G2.elem(1, {3: 5})
+    G2.elem(0, {7: 1})
+    assert 3 not in G1._slots and 7 not in G1._slots
+    fused = _plus_multiple(x, -3, g)
+    assert G2._slots.items() <= G1._slots.items()
+    single = Qd1Group(chi)
+    one = _plus_multiple(single.elem(Fraction(1, 2), {2: 3}), -3, single.elem(1, {3: 5}))
+    assert fused == one == add(x, zmul(-3, g))
+    # 1/2 - 3; at 2: 3 - 3*1 = 0 mod 4, at 3: 5 - 3*5 = 8 mod 9, which 1/2 - 3 = 2 mod 9 does not imply
+    assert str(fused) == str(one) == "r=-5/2;2:0,3:8"
+    assert fused.group is G1
+    foreign = Qd1Group(Characteristic(2, {11: 1}))
+    with pytest.raises(GroupMismatchError):
+        _plus_multiple(x, 1, foreign.elem(1))
+    with pytest.raises(GroupMismatchError):
+        x - foreign.elem(1)
 
 
 def test_build_keeps_an_override_exactly_where_the_coefficient_does_not_imply_it():

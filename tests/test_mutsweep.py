@@ -35,6 +35,38 @@ def test_module_filter_keeps_only_the_module_with_that_stem():
     assert mutsweep.mutants("grou") == []
 
 
+def test_lines_keep_the_mutants_on_those_lines_and_combine_with_module(capsys):
+    ring, group = mutsweep.mutants("ring"), mutsweep.mutants("group")
+    lines = sorted({m.line for m in ring})[:2]
+    specs = [f"ring.py:{lines[0]}", f"ring.py:{lines[1]}", f"group.py:{group[0].line}"]
+    keys = {("ring.py", lines[0]), ("ring.py", lines[1]), ("group.py", group[0].line)}
+
+    def listed(*argv):
+        assert mutsweep.main([*argv, "--list"]) == 0
+        *rows, total = capsys.readouterr().out.splitlines()
+        assert total == f"{len(rows)} mutants"
+        return rows
+
+    expected = [f"{m.path}:{m.line}: {m.what}" for m in mutsweep.mutants("") if (m.path.name, m.line) in keys]
+    assert len(expected) > 3 and listed("--lines", *specs) == expected
+    assert listed("--module", "ring", "--lines", *specs) == [row for row in expected if "/ring.py:" in row]
+    # a line without a site, a module that is not in the package, and specs that are not FILE:LINE
+    for argv in (
+        ["--lines", f"ring.py:{max(m.line for m in ring) + 1000}"],
+        ["--module", "group", "--lines", f"ring.py:{lines[0]}"],
+        ["--lines", "nope.py:3"],
+        ["--lines", "ring.py"],
+        ["--lines", "ring.py:x"],
+        ["--lines", "src/qdrings/ring.py:3"],
+        ["--lines", "../qdrings/ring.py:3"],
+        ["--lines", "ring.py:" + "".join(chr(0x660 + int(c)) for c in str(lines[0]))],  # Arabic-Indic digits
+    ):
+        with pytest.raises(SystemExit) as info:
+            mutsweep.main([*argv, "--list"])
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
 def test_a_sweep_stopped_with_sigterm_removes_its_copy_of_the_tree(tmp_path, deadline):
     # tier-1 is replaced by a stub that reports it has started and then waits to be stopped
     child = textwrap.dedent(

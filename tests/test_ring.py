@@ -13,9 +13,10 @@ from qdrings.errors import (
     UnsupportedCaseError,
 )
 from qdrings.foundations import INF, Characteristic
-from qdrings.group import add, build_group, char_of, is_torsion, order, zmul
+from qdrings.group import Qd1Group, add, build_group, canonical_elem_str, char_of, is_torsion, order, zmul
 from qdrings.oracle import TrialConfig, random_element, random_group
 from qdrings.ring import (
+    _ideal_element,
     certify_member,
     is_ai_ring,
     is_fi_ring,
@@ -114,6 +115,55 @@ def test_multiply_nonreduced_acts_summandwise():
         multiply(mult, x, E)
     with pytest.raises(GroupMismatchError):
         multiply(mult, E, x)
+
+
+# every group kind, by the default of its cocharacteristic: a nonreduced group has default 0
+@pytest.mark.parametrize("reduced, default", [(False, 0), (True, 0), (True, 3), (True, INF)])
+def test_ideal_element_is_the_product_plus_a_multiple_of_the_generator(reduced, default):
+    # the one-build kernel against the three-build composition it replaces, as elements and as text
+    rng = random.Random(3232)
+    seen = set()
+    for _ in range(40):
+        G = random_group(rng, CFG, reduced=reduced, force_default=default)
+        g, y, m = (random_element(G, rng, CFG, torsion=rng.random() < 0.3) for _ in range(3))
+        if rng.random() < 0.2:
+            m = G.zero()
+        mult = make_mult(G, m)
+        for k in range(-8, 9):
+            fused = _ideal_element(mult, g, y, k)
+            composed = add(multiply(mult, g, y), zmul(k, g))
+            assert fused == composed
+            assert canonical_elem_str(fused) == canonical_elem_str(composed)
+        for name, v in (("g", g), ("y", y), ("m", m)):
+            seen.add(f"{name} {'zero' if v == G.zero() else 'torsion' if is_torsion(v) else 'free'}")
+            if any(v._den % p == 0 and G._slot(p) for p in CFG.primes):  # the draws use no other prime
+                seen.add(f"{name} slot denominator")
+    assert seen >= {f"{name} {what}" for name in "gym" for what in ("torsion", "free", "slot denominator")}
+    assert "m zero" in seen
+
+
+def test_ideal_element_takes_equal_group_objects_and_refuses_foreign_ones():
+    # g and the square fill only the slot memo of G1, at 2 and 5; y and a torsion element that of G2, at 3 and 7
+    chi = Characteristic(2)
+    G1, G2 = Qd1Group(chi), Qd1Group(chi)
+    mult = make_mult(G1, G1.elem(3, {5: 7}))
+    g, y = G1.elem(Fraction(1, 2), {2: 3}), G2.elem(1, {3: 5})
+    G2.elem(0, {7: 1})
+    assert 3 not in G1._slots and 7 not in G1._slots
+    fused = _ideal_element(mult, g, y, 4)
+    assert G2._slots.items() <= G1._slots.items()
+    single = Qd1Group(chi)
+    one = _ideal_element(make_mult(single, single.elem(3, {5: 7})), single.elem(Fraction(1, 2), {2: 3}),
+                         single.elem(1, {3: 5}), 4)
+    assert fused == one == add(multiply(mult, g, y), zmul(4, g))
+    # 1/2 * (1*3 + 4); at 2: 3*(1*3 + 4) = 1 mod 4, at 3: 5*(5*3 + 4) = 5 mod 9, at 5: 13*(1*7 + 4) = 18 mod 25
+    assert str(fused) == str(one) == "r=7/2;2:1,3:5,5:18"
+    assert fused.group is G1
+    foreign = Qd1Group(Characteristic(2, {11: 1}))
+    # each foreign factor beside one from the ring's own group object, so no other factor calls the check
+    for args in ((foreign.elem(1), g), (g, foreign.elem(1))):
+        with pytest.raises(GroupMismatchError):
+            _ideal_element(mult, *args, 4)
 
 
 def test_ring_laws_on_random_instances():

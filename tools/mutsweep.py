@@ -20,8 +20,14 @@ Usage, from the root of the repository (stdlib only):
     python tools/mutsweep.py --module oracle --json out.json # the sweep, with a report
 
 ``--module`` keeps the one module whose file stem is the given name, and every
-module when it is empty (the default).  A sweep stopped with SIGTERM still
-removes its private copy of the tree.
+module when it is empty (the default).  ``--lines`` keeps the mutants on the
+given lines, each named by its file under src/qdrings and its line number; a
+mutant's line is the first line of the node it changes.  Both filters apply
+when both are given, and either combines with ``--list``:
+
+    python tools/mutsweep.py --lines ring.py:160 group.py:402 --list
+
+A sweep stopped with SIGTERM still removes its private copy of the tree.
 """
 
 from __future__ import annotations
@@ -162,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--module", default="", help="keep only the module with this file stem, e.g. group; empty keeps every module"
     )
+    parser.add_argument(
+        "--lines", nargs="+", default=[], metavar="FILE:LINE", help="keep only the mutants on these lines, e.g. ring.py:160"
+    )
     parser.add_argument("--list", action="store_true", help="list and compile the mutants; run no tests")
     parser.add_argument("--json", help="write the per-module ratios and the survivors here")
     args = parser.parse_args(argv)
@@ -169,6 +178,16 @@ def main(argv: list[str] | None = None) -> int:
     todo = mutants(args.module)
     if not todo:
         parser.error(f"no mutation site in a module named {args.module!r}")
+    if args.lines:
+        wanted = set()
+        for spec in args.lines:
+            name, _, line = spec.rpartition(":")
+            if not (line.isascii() and line.isdigit()) or "/" in name or not (ROOT / PACKAGE / name).is_file():
+                parser.error(f"--lines takes FILE:LINE with FILE a module under {PACKAGE}, got {spec!r}")
+            wanted.add((name, int(line)))
+        todo = [m for m in todo if (m.path.name, m.line) in wanted]
+        if not todo:
+            parser.error("no mutation site on the lines given")
     if args.list:
         for m in todo:
             compile(mutated_source(m, m.path), str(m.path), "exec")  # each mutant still builds
